@@ -26,18 +26,6 @@ std::uint64_t ShardElements(ByteSpan shard) {
   return header.total_bytes / header.width;
 }
 
-void Accumulate(PrimacyDecodeStats& totals, const PrimacyDecodeStats& s) {
-  totals.chunks_decoded += s.chunks_decoded;
-  totals.index_loads += s.index_loads;
-  totals.output_bytes += s.output_bytes;
-  totals.used_directory = totals.used_directory || s.used_directory;
-  totals.chunks_verified += s.chunks_verified;
-  totals.cache_hits += s.cache_hits;
-  totals.cache_misses += s.cache_misses;
-  totals.prefetch_issued += s.prefetch_issued;
-  totals.stage.Accumulate(s.stage);
-}
-
 }  // namespace
 
 std::size_t InSituResult::TotalCompressedBytes() const {
@@ -122,7 +110,7 @@ InSituDecodeResult InSituDecompressWithStats(const std::vector<Bytes>& shards,
   for (const auto& piece : pieces) {
     result.values.insert(result.values.end(), piece.begin(), piece.end());
   }
-  for (const PrimacyDecodeStats& s : stats) Accumulate(result.totals, s);
+  for (const PrimacyDecodeStats& s : stats) result.totals.Accumulate(s);
   return result;
 }
 
@@ -185,7 +173,7 @@ InSituDecodeResult InSituDecompressRange(const std::vector<Bytes>& shards,
                   result.values.begin() +
                       static_cast<std::ptrdiff_t>(range.result_offset));
       });
-  for (const PrimacyDecodeStats& s : stats) Accumulate(result.totals, s);
+  for (const PrimacyDecodeStats& s : stats) result.totals.Accumulate(s);
   return result;
 }
 

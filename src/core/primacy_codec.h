@@ -52,8 +52,15 @@
 // serially — no directory to parallelize over; both without checksum
 // verification — there is nothing to verify); older readers reject newer
 // versions by the version byte. Streamed (unknown-length) streams are
-// always v1: the writer cannot seek back, and PrimacyStreamReader is
-// sequential by construction.
+// always v1: the writer cannot seek back.
+//
+// Decode paths: every one-shot stream is opened once (header, stored
+// payload, directory, checksums, element starts, tail block) and v2/v3
+// chunks decode through one chunk-span driver — a full decode is the span
+// over every chunk, a range read the span over its covering chunks.
+// PrimacyStreamReader decodes the same directory chunks one per call; v1
+// streams (streamed or one-shot) decode through the reader's sequential
+// record loop.
 #pragma once
 
 #include <memory>
@@ -106,9 +113,10 @@ struct PrimacyOptions {
   /// Compression: only kPerChunk indexing parallelizes (chunks are then
   /// independent, and the output is byte-identical to a serial run);
   /// kReuseWhenCorrelated has a serial cross-chunk dependency and ignores
-  /// this knob. Decompression: v2 streams decode index-chain groups in
-  /// parallel (every chunk is its own group under kPerChunk), byte-identical
-  /// to serial; v1 streams always decode serially.
+  /// this knob. Decompression: full decodes and range reads of v2/v3
+  /// streams decode index-chain groups in parallel (every chunk is its own
+  /// group under kPerChunk), byte-identical to serial; v1 streams always
+  /// decode serially.
   std::size_t threads = 1;
   /// Decode-side integrity knob: verify the per-chunk and header/tail
   /// checksums of v3 streams before trusting their bytes (full decodes
@@ -224,6 +232,21 @@ struct PrimacyDecodeStats {
   /// Wall time per decode stage, summed across chunks and decode slots (CPU
   /// time under parallel decode). All-zero when PRIMACY_TELEMETRY=OFF.
   telemetry::StageBreakdown stage;
+
+  /// Folds another call's (or decode group's) accounting into this one:
+  /// counters and stage times add, used_directory ORs. threads_used is a
+  /// per-call provisioning figure and is left as is.
+  void Accumulate(const PrimacyDecodeStats& other) {
+    chunks_decoded += other.chunks_decoded;
+    index_loads += other.index_loads;
+    output_bytes += other.output_bytes;
+    used_directory = used_directory || other.used_directory;
+    chunks_verified += other.chunks_verified;
+    cache_hits += other.cache_hits;
+    cache_misses += other.cache_misses;
+    prefetch_issued += other.prefetch_issued;
+    stage.Accumulate(other.stage);
+  }
 };
 
 class PrimacyDecompressor {

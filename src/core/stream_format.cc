@@ -2,8 +2,11 @@
 
 #include "compress/registry.h"
 #include "core/builtin_codecs.h"
+#include "core/chunk_pipeline.h"
+#include "core/streaming.h"
 #include "util/checksum.h"
 #include "util/error.h"
+#include "util/timer.h"
 
 namespace primacy::internal {
 namespace {
@@ -205,6 +208,135 @@ std::uint64_t ComputeHeaderTailChecksum(ByteSpan stream,
       static_cast<std::size_t>(directory.directory_offset -
                                directory.tail_offset)));
   return state.Digest();
+}
+
+OneShotStream OpenStream(ByteSpan stream, bool verify_checksums) {
+  OneShotStream s;
+  s.bytes = stream;
+  ByteReader reader(stream);
+  s.header = ReadStreamHeader(reader);
+  if (s.header.total_bytes == kStreamingTotal) {
+    throw CorruptStreamError(
+        "primacy: streamed stream; use PrimacyStreamReader");
+  }
+  s.chunks_begin = reader.Offset();
+  if (s.header.stored) {
+    s.stored = reader.GetBlock();
+    if (s.stored.size() != s.header.total_bytes) {
+      throw CorruptStreamError("primacy: stored payload size mismatch");
+    }
+    if (s.header.version >= kFormatVersion3) {
+      s.stored_end = reader.Offset();
+      s.stored_checksum = reader.GetU64();
+      s.verify = verify_checksums;
+    }
+    return s;
+  }
+  if (s.header.version < kFormatVersion2) return s;
+
+  s.directory = ReadChunkDirectory(stream, s.chunks_begin, s.header.version);
+  s.verify = verify_checksums && s.directory.has_checksums;
+  // The header and tail block are small; verifying them up front keeps every
+  // byte a range read depends on covered without hashing untouched records.
+  if (s.verify && ComputeHeaderTailChecksum(stream, s.directory,
+                                            s.chunks_begin) !=
+                      s.directory.header_tail_checksum) {
+    throw CorruptStreamError("primacy: header/tail checksum mismatch");
+  }
+  const std::uint64_t total_elements = s.elements();
+  s.starts.resize(s.directory.chunks.size());
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < s.directory.chunks.size(); ++i) {
+    s.starts[i] = sum;
+    // Overflow-safe running total: a tampered entry may not push the sum
+    // past the header's element count (the wrapped sum could otherwise land
+    // back on the expected total and drive out-of-bounds output slices).
+    if (s.directory.chunks[i].elements > total_elements - sum) {
+      throw CorruptStreamError("primacy: directory element total mismatch");
+    }
+    sum += s.directory.chunks[i].elements;
+  }
+  if (sum != total_elements) {
+    throw CorruptStreamError("primacy: directory element total mismatch");
+  }
+  // The tail block sits between the last chunk record and the directory.
+  ByteReader tail(stream.subspan(
+      static_cast<std::size_t>(s.directory.tail_offset),
+      static_cast<std::size_t>(s.directory.directory_offset -
+                               s.directory.tail_offset)));
+  s.tail = tail.GetBlock();
+  if (!tail.AtEnd()) {
+    throw CorruptStreamError("primacy: bytes between tail and directory");
+  }
+  if (total_elements * s.header.width + s.tail.size() !=
+      s.header.total_bytes) {
+    throw CorruptStreamError("primacy: tail size mismatch");
+  }
+  return s;
+}
+
+ByteSpan VerifiedStoredPayload(const OneShotStream& stream) {
+  // v3 stored streams end with an XXH64 of every preceding byte.
+  if (stream.verify &&
+      Xxh64(stream.bytes.first(stream.stored_end)) != stream.stored_checksum) {
+    throw CorruptStreamError("primacy: stored stream checksum mismatch");
+  }
+  return stream.stored;
+}
+
+ByteSpan RecordSpan(const OneShotStream& stream, std::size_t c) {
+  const ChunkDirectory& directory = stream.directory;
+  const std::uint64_t begin = directory.chunks[c].offset;
+  const std::uint64_t end = c + 1 < directory.chunks.size()
+                                ? directory.chunks[c + 1].offset
+                                : directory.tail_offset;
+  return stream.bytes.subspan(static_cast<std::size_t>(begin),
+                              static_cast<std::size_t>(end - begin));
+}
+
+[[noreturn]] void ThrowChunkError(std::size_t chunk, std::uint64_t offset,
+                                  const std::string& what) {
+  throw CorruptStreamError("primacy: chunk " + std::to_string(chunk) +
+                           " (record at byte " + std::to_string(offset) +
+                           "): " + what);
+}
+
+bool VerifyChunkChecksum(const OneShotStream& stream, std::size_t c) {
+  if (!stream.verify) return false;
+  const ChunkDirectoryEntry& entry = stream.directory.chunks[c];
+  if (Xxh64(RecordSpan(stream, c)) != entry.checksum) {
+    ThrowChunkError(c, entry.offset, "checksum mismatch");
+  }
+  return true;
+}
+
+bool DecodeDirectoryChunk(const OneShotStream& stream, std::size_t c,
+                          ChunkDecoder& decoder, MutableByteSpan out) {
+  const ChunkDirectoryEntry& entry = stream.directory.chunks[c];
+  bool verified = false;
+  if constexpr (telemetry::kEnabled) {
+    const WallTimer checksum_timer;
+    verified = VerifyChunkChecksum(stream, c);
+    if (verified) {
+      decoder.AddStageNs(telemetry::Stage::kChecksum,
+                         checksum_timer.ElapsedNs());
+    }
+  } else {
+    verified = VerifyChunkChecksum(stream, c);
+  }
+  try {
+    ByteReader reader(RecordSpan(stream, c));
+    const std::uint64_t count = reader.GetVarint();
+    if (count != entry.elements) {
+      throw CorruptStreamError("primacy: directory element count mismatch");
+    }
+    decoder.DecodeChunkInto(reader, count, out);
+  } catch (const InternalError&) {
+    throw;  // library invariant failure, not stream damage — keep the type
+  } catch (const Error& e) {
+    ThrowChunkError(c, entry.offset, e.what());
+  }
+  return verified;
 }
 
 std::shared_ptr<const Codec> ResolveSolver(const std::string& name) {

@@ -26,6 +26,10 @@
 #include "compress/codec.h"
 #include "core/primacy_codec.h"
 
+namespace primacy {
+class ChunkDecoder;  // chunk_pipeline.h
+}  // namespace primacy
+
 namespace primacy::internal {
 
 inline constexpr std::uint8_t kFormatVersion1 = 1;
@@ -118,6 +122,57 @@ ChunkDirectory ReadChunkDirectory(ByteSpan stream, std::size_t chunks_begin,
 std::uint64_t ComputeHeaderTailChecksum(ByteSpan stream,
                                         const ChunkDirectory& directory,
                                         std::size_t chunks_begin);
+
+/// A one-shot stream parsed once for decoding. Every decoder of one-shot
+/// streams (full decode, range read, sequential reader, verifier) starts
+/// from OpenStream and reads record bytes only through the routines below.
+struct OneShotStream {
+  ByteSpan bytes;
+  StreamHeader header;
+  std::size_t chunks_begin = 0;  // offset of the first chunk record
+  /// Stored streams: the raw payload and (v3) the trailing checksum of the
+  /// first `stored_end` bytes.
+  ByteSpan stored;
+  std::size_t stored_end = 0;
+  std::uint64_t stored_checksum = 0;
+  /// v2/v3 streams: the directory, each chunk's first element, and the
+  /// tail block.
+  ChunkDirectory directory;
+  std::vector<std::uint64_t> starts;
+  ByteSpan tail;
+  /// Checksums are checked as bytes are read (v3 with verification on).
+  bool verify = false;
+
+  std::uint64_t elements() const { return header.total_bytes / header.width; }
+};
+
+/// Parses the header (rejecting the streamed sentinel), then the stored
+/// payload, or the directory, header/tail checksum (when verifying),
+/// element starts and tail block. A v1 stream stops after the header: it
+/// has no directory and decodes sequentially. Throws CorruptStreamError on
+/// any inconsistency.
+OneShotStream OpenStream(ByteSpan stream, bool verify_checksums);
+
+/// The stored payload, checked against its v3 checksum when verifying.
+ByteSpan VerifiedStoredPayload(const OneShotStream& stream);
+
+/// Chunk `c`'s record bytes, bounded by the next record or the tail block.
+ByteSpan RecordSpan(const OneShotStream& stream, std::size_t c);
+
+/// Checks chunk `c`'s record against its directory checksum when the
+/// stream verifies. Returns true when a checksum was checked.
+bool VerifyChunkChecksum(const OneShotStream& stream, std::size_t c);
+
+/// Decodes chunk `c` into `out` (exactly the chunk's extent) after checking
+/// its checksum and its element count against the directory. Returns true
+/// when the checksum was checked. Failures carry the chunk and its offset.
+bool DecodeDirectoryChunk(const OneShotStream& stream, std::size_t c,
+                          ChunkDecoder& decoder, MutableByteSpan out);
+
+/// Rethrows a chunk-local decode failure as CorruptStreamError carrying the
+/// chunk index and record byte offset.
+[[noreturn]] void ThrowChunkError(std::size_t chunk, std::uint64_t offset,
+                                  const std::string& what);
 
 /// Registers builtin codecs and instantiates the named solver.
 std::shared_ptr<const Codec> ResolveSolver(const std::string& name);

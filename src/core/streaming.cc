@@ -2,9 +2,7 @@
 
 #include "compress/registry.h"
 #include "telemetry/trace.h"
-#include "util/checksum.h"
 #include "util/error.h"
-#include "util/timer.h"
 
 namespace primacy {
 
@@ -108,30 +106,13 @@ PrimacyStats PrimacyStreamWriter::Finish() {
 
 PrimacyStreamReader::PrimacyStreamReader(ByteSpan stream,
                                          bool verify_checksums)
-    : stream_(stream),
-      reader_(stream),
-      header_(internal::ReadStreamHeader(reader_)) {
+    : reader_(stream), header_(internal::ReadStreamHeader(reader_)) {
+  if (header_.total_bytes != kStreamingTotal) {
+    one_shot_ = internal::OpenStream(stream, verify_checksums);
+  }
   solver_ = CreateCodec(header_.solver_name);
   decoder_ = std::make_unique<ChunkDecoder>(*solver_, header_.linearization,
                                             header_.width);
-  if (header_.version >= internal::kFormatVersion3 && !header_.stored &&
-      header_.total_bytes != kStreamingTotal) {
-    // One-shot v3: the directory at the end holds the record checksums. It
-    // is always loaded (its own checksum is verified inside
-    // ReadChunkDirectory — corrupt bounds must never be trusted); the
-    // per-record and header/tail checks respect `verify_checksums`.
-    directory_ = internal::ReadChunkDirectory(stream_, reader_.Offset(),
-                                              header_.version);
-    verify_ = verify_checksums;
-    if (verify_ &&
-        internal::ComputeHeaderTailChecksum(stream_, *directory_,
-                                            reader_.Offset()) !=
-            directory_->header_tail_checksum) {
-      throw CorruptStreamError("primacy: header/tail checksum mismatch");
-    }
-  } else if (header_.version >= internal::kFormatVersion3) {
-    verify_ = verify_checksums;
-  }
 }
 
 const telemetry::StageBreakdown& PrimacyStreamReader::stage_breakdown() const {
@@ -142,89 +123,69 @@ bool PrimacyStreamReader::NextChunk(Bytes& out) {
   if (saw_trailer_) return false;
   telemetry::TraceSpan span("primacy.stream_next_chunk", "chunk",
                             static_cast<std::uint64_t>(chunk_index_));
-  if (header_.stored) {
-    const ByteSpan raw = reader_.GetBlock();
-    if (raw.size() != header_.total_bytes) {
-      throw CorruptStreamError("primacy: stored payload size mismatch");
-    }
-    if (header_.version >= internal::kFormatVersion3) {
-      // v3 stored streams end with an XXH64 of every preceding byte.
-      const std::size_t covered = reader_.Offset();
-      const std::uint64_t stored_checksum = reader_.GetU64();
-      if (verify_ && Xxh64(stream_.first(covered)) != stored_checksum) {
-        throw CorruptStreamError("primacy: stored stream checksum mismatch");
-      }
-    }
-    AppendBytes(out, raw);
-    decoded_bytes_ += raw.size();
+  if (one_shot_ && header_.stored) {
+    AppendBytes(out, internal::VerifiedStoredPayload(*one_shot_));
     saw_trailer_ = true;
     return false;
   }
-  if (header_.total_bytes != kStreamingTotal) {
-    // One-shot stream: chunk records until total_bytes are produced.
-    const std::uint64_t total_elements = header_.total_bytes / header_.width;
-    if (decoded_bytes_ / header_.width >= total_elements) {
-      const ByteSpan tail = reader_.GetBlock();
-      if (decoded_bytes_ + tail.size() != header_.total_bytes) {
-        throw CorruptStreamError("primacy: tail size mismatch");
-      }
-      AppendBytes(out, tail);
-      decoded_bytes_ += tail.size();
+  if (one_shot_ && header_.version >= internal::kFormatVersion2) {
+    const internal::ChunkDirectory& directory = one_shot_->directory;
+    if (chunk_index_ == directory.chunks.size()) {
+      AppendBytes(out, one_shot_->tail);
       saw_trailer_ = true;
       return false;
     }
-    if (verify_ && directory_.has_value()) {
-      const WallTimer checksum_timer;
-      if (chunk_index_ >= directory_->chunks.size()) {
-        throw CorruptStreamError(
-            "primacy: more chunk records than directory entries");
+    const std::size_t at = out.size();
+    const auto bytes = static_cast<std::size_t>(
+        directory.chunks[chunk_index_].elements * header_.width);
+    out.resize(at + bytes);
+    internal::DecodeDirectoryChunk(*one_shot_, chunk_index_, *decoder_,
+                                   MutableByteSpan(out).subspan(at, bytes));
+    ++chunk_index_;
+    return true;
+  }
+  return NextSequentialChunk(out);
+}
+
+bool PrimacyStreamReader::NextSequentialChunk(Bytes& out) {
+  // v1 records end at a 0 count in streamed streams, and once the header's
+  // element total is reached in one-shot streams.
+  const bool streamed = header_.total_bytes == kStreamingTotal;
+  const std::uint64_t remaining =
+      streamed ? kStreamingTotal
+               : header_.total_bytes / header_.width -
+                     decoded_bytes_ / header_.width;
+  std::uint64_t count = 0;
+  if (remaining > 0) {
+    const std::size_t record_offset = reader_.Offset();
+    try {
+      count = reader_.GetVarint();
+      if (count > remaining || (count == 0 && !streamed)) {
+        throw CorruptStreamError("primacy: bad chunk element count");
       }
-      const internal::ChunkDirectoryEntry& entry =
-          directory_->chunks[chunk_index_];
-      const std::uint64_t end = chunk_index_ + 1 < directory_->chunks.size()
-                                    ? directory_->chunks[chunk_index_ + 1].offset
-                                    : directory_->tail_offset;
-      if (reader_.Offset() != entry.offset) {
-        throw CorruptStreamError("primacy: chunk record offset mismatch");
-      }
-      const ByteSpan record = stream_.subspan(
-          static_cast<std::size_t>(entry.offset),
-          static_cast<std::size_t>(end - entry.offset));
-      if (Xxh64(record) != entry.checksum) {
-        throw CorruptStreamError(
-            "primacy: chunk " + std::to_string(chunk_index_) +
-            " (record at byte " + std::to_string(entry.offset) +
-            "): checksum mismatch");
-      }
-      decoder_->AddStageNs(telemetry::Stage::kChecksum,
-                           checksum_timer.ElapsedNs());
+      if (count > 0) decoder_->DecodeChunk(reader_, count, out);
+    } catch (const InternalError&) {
+      throw;  // library invariant failure, not stream damage — keep the type
+    } catch (const Error& e) {
+      internal::ThrowChunkError(chunk_index_, record_offset, e.what());
     }
-    const std::uint64_t count = reader_.GetVarint();
-    if (count == 0 ||
-        decoded_bytes_ / header_.width + count > total_elements) {
-      throw CorruptStreamError("primacy: bad chunk element count");
-    }
-    decoder_->DecodeChunk(reader_, count, out);
+  }
+  if (count > 0) {
     decoded_bytes_ += count * header_.width;
     ++chunk_index_;
     return true;
   }
-  // Streaming stream: records until the 0 sentinel, then tail + total.
-  const std::uint64_t count = reader_.GetVarint();
-  if (count == 0) {
-    const ByteSpan tail = reader_.GetBlock();
-    AppendBytes(out, tail);
-    decoded_bytes_ += tail.size();
-    const std::uint64_t declared_total = reader_.GetVarint();
-    if (declared_total != decoded_bytes_) {
-      throw CorruptStreamError("primacy: trailer total mismatch");
-    }
-    saw_trailer_ = true;
-    return false;
+  const ByteSpan tail = reader_.GetBlock();
+  AppendBytes(out, tail);
+  decoded_bytes_ += tail.size();
+  if (streamed && reader_.GetVarint() != decoded_bytes_) {
+    throw CorruptStreamError("primacy: trailer total mismatch");
   }
-  decoder_->DecodeChunk(reader_, count, out);
-  decoded_bytes_ += count * header_.width;
-  return true;
+  if (!streamed && decoded_bytes_ != header_.total_bytes) {
+    throw CorruptStreamError("primacy: tail size mismatch");
+  }
+  saw_trailer_ = true;
+  return false;
 }
 
 std::vector<double> PrimacyStreamReader::ReadAllDoubles() {

@@ -70,10 +70,11 @@ class PrimacyStreamWriter {
 class PrimacyStreamReader {
  public:
   /// Reads from an in-memory stream view (the common in-situ case: the
-  /// staged buffer); the view must outlive the reader. For v3 streams the
-  /// chunk directory is loaded up front and each record is verified against
-  /// its checksum before decoding (disable with `verify_checksums` for raw
-  /// speed); v1/v2 streams carry no checksums and decode as before.
+  /// staged buffer); the view must outlive the reader. One-shot v2/v3
+  /// streams are opened up front (directory, element starts, tail) and
+  /// decode one directory chunk per call; v3 records are verified against
+  /// their checksums first (disable with `verify_checksums` for raw speed).
+  /// v1 streams, streamed or one-shot, decode record by record.
   explicit PrimacyStreamReader(ByteSpan stream, bool verify_checksums = true);
 
   /// Element width of the stream (4 or 8).
@@ -92,17 +93,18 @@ class PrimacyStreamReader {
   const telemetry::StageBreakdown& stage_breakdown() const;
 
  private:
-  ByteSpan stream_;
-  ByteReader reader_;
+  /// The v1 record loop, for streamed and one-shot v1 streams.
+  bool NextSequentialChunk(Bytes& out);
+
+  ByteReader reader_;  // v1 record cursor
   internal::StreamHeader header_;
   std::unique_ptr<const Codec> solver_;
   std::unique_ptr<ChunkDecoder> decoder_;
-  /// Loaded for one-shot v3 streams when verifying: supplies the per-chunk
-  /// record checksums the sequential decode checks against.
-  std::optional<internal::ChunkDirectory> directory_;
+  /// Every one-shot stream, parsed once by OpenStream: stored payloads and
+  /// v2/v3 records are read through it.
+  std::optional<internal::OneShotStream> one_shot_;
   std::size_t chunk_index_ = 0;
-  std::uint64_t decoded_bytes_ = 0;
-  bool verify_ = false;
+  std::uint64_t decoded_bytes_ = 0;  // v1 records and tail so far
   bool saw_trailer_ = false;
 };
 

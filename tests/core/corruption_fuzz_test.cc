@@ -203,6 +203,23 @@ Bytes MakeV2(std::span<const double> values, const PrimacyOptions& options) {
   return out;
 }
 
+// The range path over a whole one-shot stream: every element through
+// DecompressBytesRange, then the bytes beyond the last whole element. A
+// range read slices a stored payload without hashing the whole stream, so
+// the stored tail is taken through the verified payload: over the full
+// range, all three decode paths then check the same bytes.
+Bytes DecodeAsFullRange(const PrimacyDecompressor& decompressor,
+                        const Bytes& stream) {
+  const internal::OneShotStream opened =
+      internal::OpenStream(stream, /*verify_checksums=*/true);
+  Bytes out = decompressor.DecompressBytesRange(stream, 0, opened.elements());
+  AppendBytes(out, opened.header.stored
+                       ? internal::VerifiedStoredPayload(opened).subspan(
+                             out.size())
+                       : opened.tail);
+  return out;
+}
+
 class CorruptionFuzzTest : public ::testing::Test {
  protected:
   static PrimacyOptions Options() {
@@ -218,7 +235,9 @@ class CorruptionFuzzTest : public ::testing::Test {
 
 // One-shot streams of every version plus the stored fallback: 8500 seeded
 // mutations through DecompressBytes (and, sampled, DecompressRange and
-// VerifyStream).
+// VerifyStream). For v2, v3 and stored streams the sequential reader and a
+// range over every element must agree with the full decode on each
+// mutation: the same bytes, or a typed error from all three.
 TEST_F(CorruptionFuzzTest, MutatedStreamsFailCleanlyAcrossVersions) {
   Rng seed_rng(0x5eed);
   const auto values = SpecialValues(1536, seed_rng);
@@ -278,6 +297,24 @@ TEST_F(CorruptionFuzzTest, MutatedStreamsFailCleanlyAcrossVersions) {
         // outcome. (Non-payload bytes like the version-independent footer
         // fields can absorb some mutations; the payload must survive.)
         EXPECT_EQ(decoded, corpus.payload) << context;
+      }
+      if (corpus.name != "v1" && corpus.name != "streamed") {
+        Bytes read;
+        const bool reader_clean = DecodesCleanly(
+            [&] {
+              PrimacyStreamReader reader(mutated);
+              while (reader.NextChunk(read)) {
+              }
+            },
+            context + " (reader)");
+        Bytes ranged;
+        const bool range_clean = DecodesCleanly(
+            [&] { ranged = DecodeAsFullRange(decompressor, mutated); },
+            context + " (full range)");
+        EXPECT_EQ(reader_clean, clean) << context << " (reader)";
+        EXPECT_EQ(range_clean, clean) << context << " (full range)";
+        if (clean && reader_clean) EXPECT_EQ(read, decoded) << context;
+        if (clean && range_clean) EXPECT_EQ(ranged, decoded) << context;
       }
       // Sampled extra surfaces: range reads and the never-throwing verifier.
       if (i % 5 == 0) {

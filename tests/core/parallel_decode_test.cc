@@ -45,6 +45,17 @@ TEST(ParallelDecodeTest, ParallelMatchesSerialAtSeveralThreadCounts) {
     EXPECT_GT(stats.threads_used, 1u) << "threads=" << threads;
     EXPECT_EQ(stats.chunks_decoded, 40u);
     EXPECT_TRUE(stats.used_directory);
+
+    // A range over chunks 2..9 with both edge chunks trimmed takes the same
+    // group-parallel path.
+    PrimacyDecodeStats range_stats;
+    const auto range = PrimacyDecompressor(ManyChunks(threads))
+                           .DecompressRange(stream, 2500, 7000, &range_stats);
+    EXPECT_EQ(range, std::vector<double>(serial.begin() + 2500,
+                                         serial.begin() + 9500))
+        << "threads=" << threads;
+    EXPECT_GT(range_stats.threads_used, 1u) << "threads=" << threads;
+    EXPECT_EQ(range_stats.chunks_decoded, 8u);
   }
 }
 
@@ -67,6 +78,18 @@ TEST(ParallelDecodeTest, GroupParallelDecodeOfCorrelatedStream) {
   const auto parallel = PrimacyDecompressor(ManyChunks(4)).Decompress(stream);
   EXPECT_EQ(serial, parallel);
   EXPECT_EQ(serial, values);
+  // A parallel range that starts mid-chain primes its first group's index.
+  std::size_t index_loads = 0;
+  for (const std::uint64_t first : {std::uint64_t{1500}, std::uint64_t{7100}}) {
+    PrimacyDecodeStats stats;
+    EXPECT_EQ(PrimacyDecompressor(ManyChunks(4))
+                  .DecompressRange(stream, first, 20000, &stats),
+              std::vector<double>(values.begin() + first,
+                                  values.begin() + first + 20000))
+        << "first=" << first;
+    index_loads += stats.index_loads;
+  }
+  EXPECT_GT(index_loads, 0u);
 }
 
 TEST(ParallelDecodeTest, SinglePrecisionParallelDecode) {

@@ -221,5 +221,34 @@ TEST(StreamingTest, TruncatedStreamedStreamDetected) {
       CorruptStreamError);
 }
 
+// Pins the format gap: even with default (v3-capable) options, the
+// streaming writer emits v1 — no chunk directory, footer or checksums — so
+// the one-shot decompressor and range reads refuse its output. When the
+// streaming writer gains a v3 shape this test flips and must be updated
+// with it.
+TEST(StreamingTest, StreamWriterStillEmitsV1OnlyStreams) {
+  Collector collector;
+  PrimacyStreamWriter writer(collector.AsSink(), PrimacyOptions{});
+  std::vector<double> values(512);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = 1.5 + static_cast<double>(i) * 0.125;
+  }
+  writer.Append(std::span(values));
+  writer.Finish();
+
+  ASSERT_GT(collector.stream.size(), 5u);
+  // Byte 4 is the format version (after the 4-byte magic).
+  EXPECT_EQ(static_cast<std::uint8_t>(collector.stream[4]),
+            internal::kFormatVersion1);
+  PrimacyDecompressor decompressor;
+  EXPECT_THROW(decompressor.DecompressBytes(collector.stream),
+               CorruptStreamError);
+  EXPECT_THROW(decompressor.DecompressRange(collector.stream, 0, 16),
+               CorruptStreamError);
+  // The sequential reader still handles it — that is all v1 offers.
+  PrimacyStreamReader reader{ByteSpan(collector.stream)};
+  EXPECT_EQ(reader.ReadAllDoubles(), values);
+}
+
 }  // namespace
 }  // namespace primacy
