@@ -20,17 +20,10 @@
 namespace primacy {
 namespace {
 
-/// Effective slot count for a threads knob (0 = hardware concurrency:
-/// every pool worker plus the calling thread).
-std::size_t EffectiveSlots(std::size_t threads_option) {
-  return threads_option == 0 ? SharedThreadPool().num_threads() + 1
-                             : threads_option;
-}
-
 /// Reads only the index block of chunk `c`'s record (for index chain
 /// resolution), validating the flag against the directory and (v3 + verify)
 /// the record checksum.
-ByteSpan ReadIndexBlock(const internal::OneShotStream& s, std::size_t c) {
+ByteSpan ReadIndexBlock(const internal::OpenedStream& s, std::size_t c) {
   internal::VerifyChunkChecksum(s, c);
   try {
     ByteReader reader(internal::RecordSpan(s, c));
@@ -55,7 +48,7 @@ ByteSpan ReadIndexBlock(const internal::OneShotStream& s, std::size_t c) {
 /// sample of each record's bytes is mixed in as well. Streams with equal
 /// content hash equal (correct: their decoded chunks are identical);
 /// distinct streams colliding requires a 64-bit XXH64 collision.
-std::uint64_t StreamCacheIdentity(const internal::OneShotStream& s) {
+std::uint64_t StreamCacheIdentity(const internal::OpenedStream& s) {
   Xxh64State state;
   state.Update(s.bytes.first(s.chunks_begin));
   state.Update(
@@ -77,7 +70,7 @@ std::uint64_t StreamCacheIdentity(const internal::OneShotStream& s) {
 /// index, then replay the delta extensions up to (but not including) `c`.
 /// Only index blocks are read (counted in accounting.index_loads); no chunk
 /// payload is decoded.
-void PrimeDecoderIndex(const internal::OneShotStream& s, std::size_t c,
+void PrimeDecoderIndex(const internal::OpenedStream& s, std::size_t c,
                        ChunkDecoder& decoder,
                        PrimacyDecodeStats& accounting) {
   const internal::ChunkDirectory& directory = s.directory;
@@ -115,7 +108,7 @@ constexpr std::size_t kNoIndexState = static_cast<std::size_t>(-1);
 /// which chunk the state is currently valid for; a miss on a reuse/delta
 /// chunk whose state is stale re-primes via PrimeDecoderIndex first.
 struct CachedChunkReader {
-  const internal::OneShotStream& s;
+  const internal::OpenedStream& s;
   DecodedBlockCache* cache;  // null = uncached
   std::uint64_t stream_id;
   std::size_t state_for = kNoIndexState;  // chunk the index state decodes
@@ -166,7 +159,7 @@ struct CachedChunkReader {
 /// dangle once the range call returns. Failures (corrupt record, solver
 /// error) are swallowed: the chunk just stays cold, and the demand path
 /// re-verifies and reports there.
-void PrefetchAdjacentChunks(const internal::OneShotStream& s,
+void PrefetchAdjacentChunks(const internal::OpenedStream& s,
                             const std::shared_ptr<DecodedBlockCache>& cache,
                             std::uint64_t stream_id, std::size_t next,
                             std::size_t prefetch_chunks,
@@ -236,7 +229,7 @@ std::vector<std::pair<std::size_t, std::size_t>> IndexGroups(
 /// serial run. Only a span that starts mid-chain primes the index chain.
 /// Reads go through the decoded-block cache (when configured), followed by
 /// an adjacent-chunk prefetch past the span.
-void DecodeChunkSpan(const internal::OneShotStream& s, std::size_t cfirst,
+void DecodeChunkSpan(const internal::OpenedStream& s, std::size_t cfirst,
                      std::size_t cend, std::uint64_t first_element,
                      MutableByteSpan out, const PrimacyOptions& options,
                      const std::shared_ptr<DecodedBlockCache>& cache,
@@ -279,8 +272,8 @@ void DecodeChunkSpan(const internal::OneShotStream& s, std::size_t cfirst,
     }
   };
 
-  const std::size_t slots = std::min(EffectiveSlots(options.threads),
-                                     std::max<std::size_t>(groups.size(), 1));
+  const std::size_t slots =
+      SharedThreadPool().SlotCount(groups.size(), options.threads);
   if (slots > 1 && groups.size() > 1) {
     // One solver + decoder + edge scratch per slot, reused across that
     // slot's groups instead of constructed per chunk. Slots never run two
@@ -368,112 +361,21 @@ Bytes PrimacyCompressor::CompressBytesImpl(ByteSpan data, ChunkEncoder* reuse,
                                            PrimacyStats* stats) const {
   telemetry::TraceSpan span("primacy.compress", "bytes",
                             static_cast<std::uint64_t>(data.size()));
-  const std::size_t width = ElementWidth(options_.precision);
-  const std::size_t tail_bytes = data.size() % width;
-  const ByteSpan body = data.first(data.size() - tail_bytes);
-  const std::size_t chunk_elements = options_.chunk_bytes / width;
-
-  Bytes out;
-  internal::WriteStreamHeader(out, options_, data.size());
-
-  PrimacyStats accounting;
-  accounting.input_bytes = data.size();
-
-  const std::size_t total_elements = body.size() / width;
-  const std::size_t chunk_count =
-      total_elements == 0
-          ? 0
-          : (total_elements + chunk_elements - 1) / chunk_elements;
-  std::vector<ChunkRecordStats> chunk_stats(chunk_count);
-  internal::ChunkDirectory directory;
-  directory.chunks.resize(chunk_count);
-
-  // A caller-supplied encoder pins the serial path: reuse exists to keep
-  // one worker's scratch hot, and its output must stay byte-identical to a
-  // fresh serial encode.
-  const bool parallel = reuse == nullptr && options_.threads != 1 &&
-                        options_.index_mode == IndexMode::kPerChunk &&
-                        chunk_count > 1;
-  if (parallel) {
-    // Chunks are independent under kPerChunk indexing: encode them into
-    // per-chunk buffers across the shared pool, then concatenate in order.
-    // Each *slot* (not each chunk) owns a solver + encoder instance, reused
-    // for every chunk that slot claims.
-    std::vector<Bytes> records(chunk_count);
-    struct Slot {
-      std::unique_ptr<const Codec> solver;
-      std::optional<ChunkEncoder> encoder;
-    };
-    std::vector<Slot> slots(
-        std::min(EffectiveSlots(options_.threads), chunk_count));
-    SharedThreadPool().ParallelForSlots(
-        chunk_count, options_.threads, [&](std::size_t slot, std::size_t i) {
-          Slot& s = slots[slot];
-          if (!s.encoder) {
-            s.solver = CreateCodec(options_.solver);
-            s.encoder.emplace(options_, *s.solver);
-          }
-          const std::size_t first = i * chunk_elements;
-          const std::size_t count =
-              std::min(chunk_elements, total_elements - first);
-          chunk_stats[i] = s.encoder->EncodeChunk(
-              body.subspan(first * width, count * width), records[i]);
-        });
-    for (std::size_t i = 0; i < chunk_count; ++i) {
-      directory.chunks[i].offset = out.size();
-      AppendBytes(out, records[i]);
-    }
-  } else {
-    std::optional<ChunkEncoder> local;
-    ChunkEncoder* encoder = reuse;
-    if (encoder == nullptr) {
-      local.emplace(options_, *solver_);
-      encoder = &*local;
-    } else {
-      encoder->Reset();  // clear cross-chunk index state from prior streams
-    }
-    for (std::size_t i = 0; i < chunk_count; ++i) {
-      const std::size_t first = i * chunk_elements;
-      const std::size_t count =
-          std::min(chunk_elements, total_elements - first);
-      directory.chunks[i].offset = out.size();
-      chunk_stats[i] =
-          encoder->EncodeChunk(body.subspan(first * width, count * width), out);
-    }
-  }
-
-  for (std::size_t i = 0; i < chunk_count; ++i) {
-    const ChunkRecordStats& cs = chunk_stats[i];
-    directory.chunks[i].elements = cs.elements;
-    directory.chunks[i].index_flag =
-        cs.emitted_full_index ? 1 : (cs.emitted_delta_index ? 2 : 0);
-    AccumulateChunkStats(accounting, cs);
-  }
-  FinalizeChunkStatMeans(accounting);
-
-  directory.tail_offset = out.size();
-  PutBlock(out, data.subspan(data.size() - tail_bytes, tail_bytes));
-  internal::AppendChunkDirectory(out, directory);
+  PrimacyStreamWriter writer(nullptr, options_, solver_, reuse, data.size());
+  writer.AppendBytes(data);
+  PrimacyStats accounting = writer.Finish();
+  Bytes out = std::move(writer.out_);
 
   // Whole-stream stored fallback: adversarial inputs (near-unique high-order
   // pairs) would otherwise pay index metadata with no compression to show
-  // for it. A stored stream is header + one raw block + a trailing checksum
-  // of both (no directory: the payload is already randomly accessible).
+  // for it.
   if (out.size() > data.size() + 64) {
-    Bytes stored;
-    internal::WriteStreamHeader(stored, options_, data.size(),
-                                /*stored=*/true);
-    PutBlock(stored, data);
-    PutU64(stored, Xxh64(stored));
+    out = PrimacyStreamWriter::StoredStream(options_, data);
     accounting = PrimacyStats{};
     accounting.input_bytes = data.size();
-    out = std::move(stored);
-  }
-
-  if (stats != nullptr) {
     accounting.output_bytes = out.size();
-    *stats = accounting;
   }
+  if (stats != nullptr) *stats = accounting;
   return out;
 }
 
@@ -489,7 +391,7 @@ Bytes PrimacyDecompressor::DecompressBytes(ByteSpan stream,
   telemetry::TraceSpan span("primacy.decompress", "bytes",
                             static_cast<std::uint64_t>(stream.size()));
   PrimacyDecodeStats accounting;
-  const internal::OneShotStream s =
+  const internal::OpenedStream s =
       internal::OpenStream(stream, options_.verify_checksums);
   Bytes out;
   if (s.header.stored) {
@@ -542,7 +444,7 @@ Bytes PrimacyDecompressor::DecompressRangeImpl(ByteSpan stream,
                                                PrimacyDecodeStats* stats) const {
   telemetry::TraceSpan span("primacy.range_read", "elements", count);
   PrimacyDecodeStats accounting;
-  const internal::OneShotStream s =
+  const internal::OpenedStream s =
       internal::OpenStream(stream, options_.verify_checksums);
   if (expected_width != 0 && s.header.width != expected_width) {
     throw InvalidArgumentError(
@@ -614,23 +516,23 @@ StreamVerifyResult VerifyStream(ByteSpan stream) {
     ByteReader reader(stream);
     const internal::StreamHeader header = internal::ReadStreamHeader(reader);
     result.version = header.version;
-    if (header.total_bytes == kStreamingTotal) {
+    if (header.version >= internal::kFormatVersion3) {
+      // Hash-only pass: every byte before the footer is covered by a
+      // checksum, so no decompression is needed.
+      result.has_checksums = true;
+      const internal::OpenedStream s =
+          internal::OpenStream(stream, /*verify_checksums=*/true);
+      if (s.header.stored) internal::VerifiedStoredPayload(s);
+      for (std::size_t c = 0; c < s.directory.chunks.size(); ++c) {
+        internal::VerifyChunkChecksum(s, c);
+        ++result.chunks_checked;
+      }
+    } else if (header.total_bytes == kStreamingTotal) {
       // Streamed v1: sequential structural decode, one chunk resident.
       PrimacyStreamReader stream_reader(stream);
       Bytes sink;
       while (stream_reader.NextChunk(sink)) {
         sink.clear();
-        ++result.chunks_checked;
-      }
-    } else if (header.version >= internal::kFormatVersion3) {
-      // Hash-only pass: every byte before the footer is covered by a
-      // checksum, so no decompression is needed.
-      result.has_checksums = true;
-      const internal::OneShotStream s =
-          internal::OpenStream(stream, /*verify_checksums=*/true);
-      if (s.header.stored) internal::VerifiedStoredPayload(s);
-      for (std::size_t c = 0; c < s.directory.chunks.size(); ++c) {
-        internal::VerifyChunkChecksum(s, c);
         ++result.chunks_checked;
       }
     } else {

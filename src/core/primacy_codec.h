@@ -51,13 +51,14 @@
 // unknown versions are rejected. v3 readers decode v1/v2 streams (v1
 // serially — no directory to parallelize over; both without checksum
 // verification — there is nothing to verify); older readers reject newer
-// versions by the version byte. Streamed (unknown-length) streams are
-// always v1: the writer cannot seek back.
+// versions by the version byte. PrimacyStreamWriter (streaming.h) writes
+// every stream; streamed (unknown-length) ones store the kStreamingTotal
+// sentinel as byte_count, and readers derive the total from the directory.
 //
-// Decode paths: every one-shot stream is opened once (header, stored
-// payload, directory, checksums, element starts, tail block) and v2/v3
-// chunks decode through one chunk-span driver — a full decode is the span
-// over every chunk, a range read the span over its covering chunks.
+// Decode paths: every stream but a streamed v1 one is opened once (header,
+// stored payload, directory, checksums, element starts, tail block) and
+// v2/v3 chunks decode through one chunk-span driver — a full decode is the
+// span over every chunk, a range read the span over its covering chunks.
 // PrimacyStreamReader decodes the same directory chunks one per call; v1
 // streams (streamed or one-shot) decode through the reader's sequential
 // record loop.

@@ -69,41 +69,18 @@ StreamHeader ReadStreamHeader(ByteReader& reader) {
 void AppendChunkDirectory(Bytes& out, const ChunkDirectory& directory,
                           std::uint8_t version) {
   const bool checksums = version >= kFormatVersion3;
-  const std::size_t directory_begin = out.size();
   Bytes payload;
   PutVarint(payload, directory.chunks.size());
   std::uint64_t prev_offset = 0;
-  for (std::size_t i = 0; i < directory.chunks.size(); ++i) {
-    const ChunkDirectoryEntry& entry = directory.chunks[i];
+  for (const ChunkDirectoryEntry& entry : directory.chunks) {
     PutVarint(payload, entry.offset - prev_offset);
     PutVarint(payload, entry.elements);
     PutU8(payload, entry.index_flag);
-    if (checksums) {
-      // Record extent = [this offset, next offset or the tail block).
-      const std::uint64_t end = i + 1 < directory.chunks.size()
-                                    ? directory.chunks[i + 1].offset
-                                    : directory.tail_offset;
-      PutU64(payload, Xxh64(ByteSpan(out).subspan(
-                          static_cast<std::size_t>(entry.offset),
-                          static_cast<std::size_t>(end - entry.offset))));
-    }
+    if (checksums) PutU64(payload, entry.checksum);
     prev_offset = entry.offset;
   }
   PutVarint(payload, directory.tail_offset - prev_offset);
-  if (checksums) {
-    // Everything the per-chunk checksums do not cover: the header bytes
-    // [0, first record) and the tail block [tail_offset, directory).
-    const std::size_t chunks_begin =
-        directory.chunks.empty()
-            ? static_cast<std::size_t>(directory.tail_offset)
-            : static_cast<std::size_t>(directory.chunks.front().offset);
-    Xxh64State state;
-    state.Update(ByteSpan(out).first(chunks_begin));
-    state.Update(ByteSpan(out).subspan(
-        static_cast<std::size_t>(directory.tail_offset),
-        directory_begin - static_cast<std::size_t>(directory.tail_offset)));
-    PutU64(payload, state.Digest());
-  }
+  if (checksums) PutU64(payload, directory.header_tail_checksum);
   AppendBytes(out, payload);
   if (checksums) {
     PutU64(out, Xxh64(payload));
@@ -210,14 +187,18 @@ std::uint64_t ComputeHeaderTailChecksum(ByteSpan stream,
   return state.Digest();
 }
 
-OneShotStream OpenStream(ByteSpan stream, bool verify_checksums) {
-  OneShotStream s;
+OpenedStream OpenStream(ByteSpan stream, bool verify_checksums) {
+  OpenedStream s;
   s.bytes = stream;
   ByteReader reader(stream);
   s.header = ReadStreamHeader(reader);
-  if (s.header.total_bytes == kStreamingTotal) {
+  // A streamed header carries the sentinel instead of the total; only v3
+  // derives the total from its directory and tail block.
+  const bool streamed = s.header.total_bytes == kStreamingTotal;
+  if (streamed &&
+      (s.header.version < kFormatVersion3 || s.header.stored)) {
     throw CorruptStreamError(
-        "primacy: streamed stream; use PrimacyStreamReader");
+        "primacy: streamed pre-v3 stream; use PrimacyStreamReader");
   }
   s.chunks_begin = reader.Offset();
   if (s.header.stored) {
@@ -243,20 +224,22 @@ OneShotStream OpenStream(ByteSpan stream, bool verify_checksums) {
                       s.directory.header_tail_checksum) {
     throw CorruptStreamError("primacy: header/tail checksum mismatch");
   }
-  const std::uint64_t total_elements = s.elements();
+  // Streamed: the most elements whose bytes still fit in 64 bits.
+  const std::uint64_t total_elements =
+      streamed ? kStreamingTotal / s.header.width : s.elements();
   s.starts.resize(s.directory.chunks.size());
   std::uint64_t sum = 0;
   for (std::size_t i = 0; i < s.directory.chunks.size(); ++i) {
     s.starts[i] = sum;
     // Overflow-safe running total: a tampered entry may not push the sum
-    // past the header's element count (the wrapped sum could otherwise land
-    // back on the expected total and drive out-of-bounds output slices).
+    // past the element count (the wrapped sum could otherwise land back on
+    // the expected total and drive out-of-bounds output slices).
     if (s.directory.chunks[i].elements > total_elements - sum) {
       throw CorruptStreamError("primacy: directory element total mismatch");
     }
     sum += s.directory.chunks[i].elements;
   }
-  if (sum != total_elements) {
+  if (!streamed && sum != total_elements) {
     throw CorruptStreamError("primacy: directory element total mismatch");
   }
   // The tail block sits between the last chunk record and the directory.
@@ -268,14 +251,20 @@ OneShotStream OpenStream(ByteSpan stream, bool verify_checksums) {
   if (!tail.AtEnd()) {
     throw CorruptStreamError("primacy: bytes between tail and directory");
   }
-  if (total_elements * s.header.width + s.tail.size() !=
-      s.header.total_bytes) {
+  if (streamed) {
+    // The derived total must fit, and must not collide with the sentinel.
+    if (s.tail.size() >= kStreamingTotal - sum * s.header.width) {
+      throw CorruptStreamError("primacy: streamed total out of range");
+    }
+    s.header.total_bytes = sum * s.header.width + s.tail.size();
+  }
+  if (sum * s.header.width + s.tail.size() != s.header.total_bytes) {
     throw CorruptStreamError("primacy: tail size mismatch");
   }
   return s;
 }
 
-ByteSpan VerifiedStoredPayload(const OneShotStream& stream) {
+ByteSpan VerifiedStoredPayload(const OpenedStream& stream) {
   // v3 stored streams end with an XXH64 of every preceding byte.
   if (stream.verify &&
       Xxh64(stream.bytes.first(stream.stored_end)) != stream.stored_checksum) {
@@ -284,7 +273,7 @@ ByteSpan VerifiedStoredPayload(const OneShotStream& stream) {
   return stream.stored;
 }
 
-ByteSpan RecordSpan(const OneShotStream& stream, std::size_t c) {
+ByteSpan RecordSpan(const OpenedStream& stream, std::size_t c) {
   const ChunkDirectory& directory = stream.directory;
   const std::uint64_t begin = directory.chunks[c].offset;
   const std::uint64_t end = c + 1 < directory.chunks.size()
@@ -301,7 +290,7 @@ ByteSpan RecordSpan(const OneShotStream& stream, std::size_t c) {
                            "): " + what);
 }
 
-bool VerifyChunkChecksum(const OneShotStream& stream, std::size_t c) {
+bool VerifyChunkChecksum(const OpenedStream& stream, std::size_t c) {
   if (!stream.verify) return false;
   const ChunkDirectoryEntry& entry = stream.directory.chunks[c];
   if (Xxh64(RecordSpan(stream, c)) != entry.checksum) {
@@ -310,7 +299,7 @@ bool VerifyChunkChecksum(const OneShotStream& stream, std::size_t c) {
   return true;
 }
 
-bool DecodeDirectoryChunk(const OneShotStream& stream, std::size_t c,
+bool DecodeDirectoryChunk(const OpenedStream& stream, std::size_t c,
                           ChunkDecoder& decoder, MutableByteSpan out) {
   const ChunkDirectoryEntry& entry = stream.directory.chunks[c];
   bool verified = false;

@@ -1,6 +1,6 @@
-// PRIMACY stream header framing shared by the one-shot codec and the
-// streaming writer/reader, plus the v2/v3 seekable chunk directory. Internal
-// API (namespace primacy::internal).
+// PRIMACY stream header framing used by the stream writer and every
+// reader, plus the v2/v3 seekable chunk directory. Internal API (namespace
+// primacy::internal).
 //
 // Version history:
 //   v1 — header, chunk records, tail block. Decoding is a sequential scan.
@@ -12,9 +12,8 @@
 //        block, and a checksum of the directory payload itself in the
 //        footer. Every byte before the footer is covered by exactly one
 //        checksum, so any single flipped bit is detected, and a range read
-//        can verify just the chunks it touches. One-shot streams are
-//        written as v3; the streaming writer still emits v1 (it never holds
-//        the whole stream, and its reader is sequential by construction).
+//        can verify just the chunks it touches. PrimacyStreamWriter writes
+//        only v3 (a streamed stream's header total is kStreamingTotal).
 //        Readers accept all three versions.
 #pragma once
 
@@ -73,7 +72,7 @@ struct ChunkDirectory {
   bool has_checksums = false;
   /// XXH64 of the stream header bytes followed by the tail-block bytes —
   /// everything before the footer that the per-chunk checksums do not cover
-  /// (v3 only). Computed by AppendChunkDirectory.
+  /// (v3 only). Computed by the writer as it emits those bytes.
   std::uint64_t header_tail_checksum = 0;
 };
 
@@ -88,10 +87,9 @@ void WriteStreamHeader(Bytes& out, const PrimacyOptions& options,
 /// Accepts versions 1, 2 and 3.
 StreamHeader ReadStreamHeader(ByteReader& reader);
 
-/// Appends the chunk directory and its footer for a v2 or v3 stream. `out`
-/// must hold the complete stream prefix (header, chunk records, tail
-/// block): for v3 the per-chunk, header/tail, and directory checksums are
-/// computed from it. Layout:
+/// Appends the chunk directory and its footer for a v2 or v3 stream. For v3
+/// the per-chunk and header/tail checksums come precomputed in `directory`;
+/// only the directory checksum is computed here. Layout:
 ///   varint chunk_count
 ///   per chunk: varint offset_delta (first entry: from stream start;
 ///              later entries: from the previous record start),
@@ -123,10 +121,10 @@ std::uint64_t ComputeHeaderTailChecksum(ByteSpan stream,
                                         const ChunkDirectory& directory,
                                         std::size_t chunks_begin);
 
-/// A one-shot stream parsed once for decoding. Every decoder of one-shot
-/// streams (full decode, range read, sequential reader, verifier) starts
-/// from OpenStream and reads record bytes only through the routines below.
-struct OneShotStream {
+/// A stream (any but streamed v1) parsed once for decoding. Every decoder
+/// (full decode, range read, sequential reader, verifier) starts from
+/// OpenStream and reads record bytes only through the routines below.
+struct OpenedStream {
   ByteSpan bytes;
   StreamHeader header;
   std::size_t chunks_begin = 0;  // offset of the first chunk record
@@ -146,27 +144,26 @@ struct OneShotStream {
   std::uint64_t elements() const { return header.total_bytes / header.width; }
 };
 
-/// Parses the header (rejecting the streamed sentinel), then the stored
-/// payload, or the directory, header/tail checksum (when verifying),
-/// element starts and tail block. A v1 stream stops after the header: it
-/// has no directory and decodes sequentially. Throws CorruptStreamError on
-/// any inconsistency.
-OneShotStream OpenStream(ByteSpan stream, bool verify_checksums);
+/// Parses the header, then the stored payload, or the directory,
+/// header/tail checksum (when verifying), element starts and tail block (v1
+/// stops after the header). On v3 only, a streamed sentinel total becomes
+/// Σelements × width + tail size. Throws CorruptStreamError on any error.
+OpenedStream OpenStream(ByteSpan stream, bool verify_checksums);
 
 /// The stored payload, checked against its v3 checksum when verifying.
-ByteSpan VerifiedStoredPayload(const OneShotStream& stream);
+ByteSpan VerifiedStoredPayload(const OpenedStream& stream);
 
 /// Chunk `c`'s record bytes, bounded by the next record or the tail block.
-ByteSpan RecordSpan(const OneShotStream& stream, std::size_t c);
+ByteSpan RecordSpan(const OpenedStream& stream, std::size_t c);
 
 /// Checks chunk `c`'s record against its directory checksum when the
 /// stream verifies. Returns true when a checksum was checked.
-bool VerifyChunkChecksum(const OneShotStream& stream, std::size_t c);
+bool VerifyChunkChecksum(const OpenedStream& stream, std::size_t c);
 
 /// Decodes chunk `c` into `out` (exactly the chunk's extent) after checking
 /// its checksum and its element count against the directory. Returns true
 /// when the checksum was checked. Failures carry the chunk and its offset.
-bool DecodeDirectoryChunk(const OneShotStream& stream, std::size_t c,
+bool DecodeDirectoryChunk(const OpenedStream& stream, std::size_t c,
                           ChunkDecoder& decoder, MutableByteSpan out);
 
 /// Rethrows a chunk-local decode failure as CorruptStreamError carrying the

@@ -178,8 +178,7 @@ void ThreadPool::ParallelForSlots(
     const std::function<void(std::size_t, std::size_t)>& fn) {
   if (count == 0) return;
   // Slot 0 is the calling thread; each pool worker can host one more.
-  std::size_t slots = max_slots == 0 ? num_threads() + 1 : max_slots;
-  slots = std::min(slots, count);
+  const std::size_t slots = SlotCount(count, max_slots);
 
   std::atomic<std::size_t> next{0};
   const auto run_slot = [&](std::size_t slot) {

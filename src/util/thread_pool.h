@@ -7,6 +7,7 @@
 // queue overhead.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <future>
@@ -75,6 +76,11 @@ class ThreadPool {
   /// load balancing). Rethrows the first exception encountered.
   void ParallelForSlots(std::size_t count, std::size_t max_slots,
                         const std::function<void(std::size_t, std::size_t)>& fn);
+
+  /// The number of slots ParallelForSlots(count, max_slots, ...) runs.
+  std::size_t SlotCount(std::size_t count, std::size_t max_slots) const {
+    return std::min(max_slots == 0 ? num_threads() + 1 : max_slots, count);
+  }
 
  private:
   void WorkerLoop() PRIMACY_EXCLUDES(mutex_);

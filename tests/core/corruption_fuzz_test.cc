@@ -12,17 +12,18 @@
 #include <bit>
 #include <cstring>
 #include <new>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bitstream/byte_io.h"
-#include "core/chunk_pipeline.h"
 #include "core/primacy_codec.h"
 #include "core/stream_format.h"
 #include "core/streaming.h"
 #include "datasets/datasets.h"
 #include "store/checkpoint_store.h"
+#include "support/legacy_streams.h"
 #include "util/checksum.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -160,49 +161,6 @@ std::vector<double> SpecialValues(std::size_t n, Rng& rng) {
   return values;
 }
 
-// Hand-assembled v1 (see stream_v2_test.cc): header + records + tail.
-Bytes MakeV1(std::span<const double> values, const PrimacyOptions& options) {
-  Bytes out;
-  internal::WriteStreamHeader(out, options, values.size() * 8,
-                              /*stored=*/false, internal::kFormatVersion1);
-  const auto solver = internal::ResolveSolver(options.solver);
-  ChunkEncoder encoder(options, *solver);
-  const ByteSpan body = AsBytes(values);
-  const std::size_t chunk_elements = options.chunk_bytes / 8;
-  for (std::size_t first = 0; first < values.size();
-       first += chunk_elements) {
-    const std::size_t count = std::min(chunk_elements, values.size() - first);
-    encoder.EncodeChunk(body.subspan(first * 8, count * 8), out);
-  }
-  PutBlock(out, ByteSpan{});
-  return out;
-}
-
-Bytes MakeV2(std::span<const double> values, const PrimacyOptions& options) {
-  Bytes out;
-  internal::WriteStreamHeader(out, options, values.size() * 8,
-                              /*stored=*/false, internal::kFormatVersion2);
-  const auto solver = internal::ResolveSolver(options.solver);
-  ChunkEncoder encoder(options, *solver);
-  const ByteSpan body = AsBytes(values);
-  const std::size_t chunk_elements = options.chunk_bytes / 8;
-  internal::ChunkDirectory directory;
-  for (std::size_t first = 0; first < values.size();
-       first += chunk_elements) {
-    const std::size_t count = std::min(chunk_elements, values.size() - first);
-    internal::ChunkDirectoryEntry entry;
-    entry.offset = out.size();
-    entry.elements = count;
-    entry.index_flag = 1;
-    encoder.EncodeChunk(body.subspan(first * 8, count * 8), out);
-    directory.chunks.push_back(entry);
-  }
-  directory.tail_offset = out.size();
-  PutBlock(out, ByteSpan{});
-  internal::AppendChunkDirectory(out, directory, internal::kFormatVersion2);
-  return out;
-}
-
 // The range path over a whole one-shot stream: every element through
 // DecompressBytesRange, then the bytes beyond the last whole element. A
 // range read slices a stored payload without hashing the whole stream, so
@@ -210,7 +168,7 @@ Bytes MakeV2(std::span<const double> values, const PrimacyOptions& options) {
 // range, all three decode paths then check the same bytes.
 Bytes DecodeAsFullRange(const PrimacyDecompressor& decompressor,
                         const Bytes& stream) {
-  const internal::OneShotStream opened =
+  const internal::OpenedStream opened =
       internal::OpenStream(stream, /*verify_checksums=*/true);
   Bytes out = decompressor.DecompressBytesRange(stream, 0, opened.elements());
   AppendBytes(out, opened.header.stored
@@ -233,19 +191,20 @@ class CorruptionFuzzTest : public ::testing::Test {
   }
 };
 
-// One-shot streams of every version plus the stored fallback: 8500 seeded
-// mutations through DecompressBytes (and, sampled, DecompressRange and
-// VerifyStream). For v2, v3 and stored streams the sequential reader and a
-// range over every element must agree with the full decode on each
-// mutation: the same bytes, or a typed error from all three.
+// Streams of every version, streamed and one-shot, plus the stored
+// fallback: 10200 seeded mutations through DecompressBytes (the reader for
+// streamed v1) and, sampled, DecompressRange and VerifyStream. For v2, v3,
+// streamed v3 and stored streams the sequential reader and a range over
+// every element must agree with the full decode on each mutation: the same
+// bytes, or a typed error from all three.
 TEST_F(CorruptionFuzzTest, MutatedStreamsFailCleanlyAcrossVersions) {
   Rng seed_rng(0x5eed);
   const auto values = SpecialValues(1536, seed_rng);
 
   std::vector<Corpus> corpora;
-  corpora.push_back({"v1", MakeV1(values, Options()),
+  corpora.push_back({"v1", legacy::MakeV1Stream(AsBytes(values), Options()),
                      PayloadOf(values), false});
-  corpora.push_back({"v2", MakeV2(values, Options()),
+  corpora.push_back({"v2", legacy::MakeV2Stream(AsBytes(values), Options()),
                      PayloadOf(values), false});
   corpora.push_back({"v3", PrimacyCompressor(Options()).Compress(values),
                      PayloadOf(values), true});
@@ -260,19 +219,23 @@ TEST_F(CorruptionFuzzTest, MutatedStreamsFailCleanlyAcrossVersions) {
     corpora.push_back({"stored", PrimacyCompressor().Compress(noise),
                        PayloadOf(noise), true});
   }
+  // Streamed v1 (the legacy unknown-length trailer shape) and streamed v3
+  // (the writer's output: sentinel header total, checksummed directory).
+  corpora.push_back(
+      {"streamed_v1", legacy::MakeStreamedV1Stream(AsBytes(values), Options()),
+       PayloadOf(values), false});
   {
-    // Streamed v1 (unknown-length trailer shape).
     Bytes collected;
     PrimacyStreamWriter writer(
         [&](ByteSpan data) { AppendBytes(collected, data); }, Options());
     writer.Append(std::span(values));
     writer.Finish();
-    corpora.push_back({"streamed", std::move(collected),
-                       PayloadOf(values), false});
+    corpora.push_back({"streamed_v3", std::move(collected),
+                       PayloadOf(values), true});
   }
 
   const PrimacyDecompressor decompressor(Options());
-  constexpr std::size_t kMutationsPerCorpus = 1700;  // x5 corpora = 8500
+  constexpr std::size_t kMutationsPerCorpus = 1700;  // x6 corpora = 10200
   for (const Corpus& corpus : corpora) {
     Rng rng(Xxh64(BytesFromString(corpus.name), 2026));
     for (std::size_t i = 0; i < kMutationsPerCorpus; ++i) {
@@ -282,7 +245,7 @@ TEST_F(CorruptionFuzzTest, MutatedStreamsFailCleanlyAcrossVersions) {
       Bytes decoded;
       const bool clean = DecodesCleanly(
           [&] {
-            if (corpus.name == "streamed") {
+            if (corpus.name == "streamed_v1") {
               PrimacyStreamReader reader(mutated);
               while (reader.NextChunk(decoded)) {
               }
@@ -298,7 +261,7 @@ TEST_F(CorruptionFuzzTest, MutatedStreamsFailCleanlyAcrossVersions) {
         // fields can absorb some mutations; the payload must survive.)
         EXPECT_EQ(decoded, corpus.payload) << context;
       }
-      if (corpus.name != "v1" && corpus.name != "streamed") {
+      if (corpus.name != "v1" && corpus.name != "streamed_v1") {
         Bytes read;
         const bool reader_clean = DecodesCleanly(
             [&] {
@@ -333,8 +296,11 @@ TEST_F(CorruptionFuzzTest, MutatedStreamsFailCleanlyAcrossVersions) {
   }
 }
 
-// Checkpoint containers: 1500 seeded mutations through the footer parser,
-// bulk restore, and VerifyAll (which must never throw).
+// Checkpoint containers: 1500 seeded mutations of a CheckpointWriter file.
+// Construction plus ReadAllRaw either returns the original variables or
+// throws a typed error; VerifyAll never throws, and reports every variable
+// healthy whenever ReadAllRaw succeeded. (The footer carries no checksum, so
+// a mutated variable name can go unnoticed; the payload bytes cannot.)
 TEST_F(CorruptionFuzzTest, MutatedCheckpointsFailCleanly) {
   Rng seed_rng(0xc0ffee);
   CheckpointWriter writer(Options());
@@ -343,22 +309,31 @@ TEST_F(CorruptionFuzzTest, MutatedCheckpointsFailCleanly) {
   writer.Add("temperature", std::span(temperature));
   writer.Add("pressure", std::span(pressure));
   const Bytes checkpoint = writer.Finish();
+  const std::vector<Bytes> original = {PayloadOf(temperature),
+                                       PayloadOf(pressure)};
 
   Rng rng(0xdecaf);
   for (std::size_t i = 0; i < 1500; ++i) {
     const Bytes mutated = Mutate(checkpoint, rng);
     const std::string context = "checkpoint mutation " + std::to_string(i);
-    DecodesCleanly(
+    std::optional<CheckpointReader> reader;
+    std::vector<Bytes> restored;
+    const bool clean = DecodesCleanly(
         [&] {
-          const CheckpointReader reader(mutated, Options());
-          reader.ReadAllRaw();
-          for (const auto& result : reader.VerifyAll()) {
-            if (!result.stream.ok) {
-              EXPECT_FALSE(result.stream.error.empty()) << context;
-            }
-          }
+          reader.emplace(mutated, Options());
+          restored = reader->ReadAllRaw();
         },
         context);
+    if (clean) {
+      EXPECT_EQ(restored, original) << context;
+    }
+    if (!reader) continue;
+    for (const auto& result : reader->VerifyAll()) {
+      if (result.stream.ok) continue;
+      EXPECT_FALSE(result.stream.error.empty()) << context;
+      EXPECT_FALSE(clean) << context << ": " << result.name << " failed "
+                          << "verification after a clean restore";
+    }
   }
 }
 

@@ -8,11 +8,10 @@
 #include <vector>
 
 #include "bitstream/byte_io.h"
-#include "core/chunk_pipeline.h"
 #include "core/primacy_codec.h"
 #include "core/stream_format.h"
-#include "core/streaming.h"
 #include "datasets/datasets.h"
+#include "support/legacy_streams.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -167,19 +166,7 @@ TEST(DecompressRangeV1Test, OneShotV1WithoutDirectoryRejected) {
   // A one-shot v1 stream parses fine but has no directory to seek with: the
   // contract is a typed InvalidArgumentError, not a parse failure.
   const auto values = GenerateDatasetByName("obs_temp", 10000);
-  Bytes v1;
-  internal::WriteStreamHeader(v1, SmallChunks(), values.size() * 8,
-                              /*stored=*/false, internal::kFormatVersion1);
-  const auto solver = internal::ResolveSolver(SmallChunks().solver);
-  ChunkEncoder encoder(SmallChunks(), *solver);
-  const ByteSpan body = AsBytes(std::span(values));
-  for (std::size_t first = 0; first < values.size();
-       first += kChunkElements) {
-    const std::size_t count =
-        std::min(kChunkElements, values.size() - first);
-    encoder.EncodeChunk(body.subspan(first * 8, count * 8), v1);
-  }
-  PutBlock(v1, ByteSpan{});
+  const Bytes v1 = legacy::MakeV1Stream(AsBytes(values), SmallChunks());
   EXPECT_THROW(PrimacyDecompressor().DecompressRange(v1, 0, 1),
                InvalidArgumentError);
   // Sanity: the same stream decodes sequentially.
@@ -187,17 +174,13 @@ TEST(DecompressRangeV1Test, OneShotV1WithoutDirectoryRejected) {
 }
 
 TEST(DecompressRangeV1Test, V1StreamRejected) {
-  // Streamed output is v1 by construction; finish it and retarget the
-  // one-shot reader at an equivalent v1 buffer via the streaming round trip.
+  // Streamed v1 streams (the pre-v3 writer's shape) are rejected for range
+  // reads (no directory, and no total up front) — as CorruptStreamError
+  // from the sentinel total.
   const auto values = GenerateDatasetByName("obs_temp", 10000);
-  Bytes collected;
-  PrimacyStreamWriter writer(
-      [&](ByteSpan data) { AppendBytes(collected, data); }, SmallChunks());
-  writer.Append(std::span(values));
-  writer.Finish();
-  // Streamed streams are rejected for range reads (no directory, and no
-  // total up front) — as CorruptStreamError from the sentinel total.
-  EXPECT_THROW(PrimacyDecompressor().DecompressRange(collected, 0, 1),
+  const Bytes streamed_v1 =
+      legacy::MakeStreamedV1Stream(AsBytes(values), SmallChunks());
+  EXPECT_THROW(PrimacyDecompressor().DecompressRange(streamed_v1, 0, 1),
                CorruptStreamError);
 }
 

@@ -9,11 +9,11 @@
 #include <span>
 
 #include "bitstream/byte_io.h"
-#include "core/chunk_pipeline.h"
 #include "core/primacy_codec.h"
 #include "core/stream_format.h"
 #include "core/streaming.h"
 #include "datasets/datasets.h"
+#include "support/legacy_streams.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -24,54 +24,6 @@ PrimacyOptions SmallChunks() {
   PrimacyOptions options;
   options.chunk_bytes = 64 * 1024;
   return options;
-}
-
-// Hand-assembles a one-shot v1 stream (header + chunk records + tail, no
-// directory), the way a pre-v2 writer laid it out.
-Bytes MakeV1Stream(std::span<const double> values,
-                   const PrimacyOptions& options) {
-  Bytes out;
-  internal::WriteStreamHeader(out, options, values.size() * 8,
-                              /*stored=*/false, internal::kFormatVersion1);
-  const auto solver = internal::ResolveSolver(options.solver);
-  ChunkEncoder encoder(options, *solver);
-  const ByteSpan body = AsBytes(values);
-  const std::size_t chunk_elements = options.chunk_bytes / 8;
-  for (std::size_t first = 0; first < values.size();
-       first += chunk_elements) {
-    const std::size_t count = std::min(chunk_elements, values.size() - first);
-    encoder.EncodeChunk(body.subspan(first * 8, count * 8), out);
-  }
-  PutBlock(out, ByteSpan{});  // empty tail
-  return out;
-}
-
-// Hand-assembles a one-shot v2 stream (v1 payload + checksum-free directory
-// and 12-byte footer), the way a pre-v3 writer laid it out.
-Bytes MakeV2Stream(std::span<const double> values,
-                   const PrimacyOptions& options) {
-  Bytes out;
-  internal::WriteStreamHeader(out, options, values.size() * 8,
-                              /*stored=*/false, internal::kFormatVersion2);
-  const auto solver = internal::ResolveSolver(options.solver);
-  ChunkEncoder encoder(options, *solver);
-  const ByteSpan body = AsBytes(values);
-  const std::size_t chunk_elements = options.chunk_bytes / 8;
-  internal::ChunkDirectory directory;
-  for (std::size_t first = 0; first < values.size();
-       first += chunk_elements) {
-    const std::size_t count = std::min(chunk_elements, values.size() - first);
-    internal::ChunkDirectoryEntry entry;
-    entry.offset = out.size();
-    entry.elements = count;
-    entry.index_flag = 1;  // kPerChunk: every record carries a full index
-    encoder.EncodeChunk(body.subspan(first * 8, count * 8), out);
-    directory.chunks.push_back(entry);
-  }
-  directory.tail_offset = out.size();
-  PutBlock(out, ByteSpan{});  // empty tail
-  internal::AppendChunkDirectory(out, directory, internal::kFormatVersion2);
-  return out;
 }
 
 TEST(StreamV2Test, OneShotStreamsAreVersion3WithDirectoryFooter) {
@@ -100,7 +52,7 @@ TEST(StreamV2Test, V2RoundTripUsesDirectory) {
 
 TEST(StreamV2Test, V1StreamsStillDecode) {
   const auto values = GenerateDatasetByName("obs_temp", 30000);
-  const Bytes v1 = MakeV1Stream(values, SmallChunks());
+  const Bytes v1 = legacy::MakeV1Stream(AsBytes(values), SmallChunks());
   EXPECT_EQ(static_cast<std::uint8_t>(v1[4]), internal::kFormatVersion1);
   PrimacyDecodeStats stats;
   const auto restored = PrimacyDecompressor().Decompress(v1, &stats);
@@ -111,7 +63,7 @@ TEST(StreamV2Test, V1StreamsStillDecode) {
 
 TEST(StreamV2Test, V2StreamsStillDecode) {
   const auto values = GenerateDatasetByName("gts_phi_l", 30000);
-  const Bytes v2 = MakeV2Stream(values, SmallChunks());
+  const Bytes v2 = legacy::MakeV2Stream(AsBytes(values), SmallChunks());
   EXPECT_EQ(static_cast<std::uint8_t>(v2[4]), internal::kFormatVersion2);
   PrimacyDecodeStats stats;
   const auto restored = PrimacyDecompressor().Decompress(v2, &stats);
@@ -129,8 +81,8 @@ TEST(StreamV2Test, V1V2AndV3PayloadsMatchByteForByte) {
   // v2/v3 = v1 payload + directory: stripping the directory must leave
   // exactly the v1 record bytes (only the version byte differs).
   const auto values = GenerateDatasetByName("num_plasma", 25000);
-  const Bytes v1 = MakeV1Stream(values, SmallChunks());
-  const Bytes v2 = MakeV2Stream(values, SmallChunks());
+  const Bytes v1 = legacy::MakeV1Stream(AsBytes(values), SmallChunks());
+  const Bytes v2 = legacy::MakeV2Stream(AsBytes(values), SmallChunks());
   const Bytes v3 = PrimacyCompressor(SmallChunks()).Compress(values);
   ASSERT_GT(v2.size(), v1.size());
   ASSERT_GT(v3.size(), v2.size()) << "v3 adds checksums to the directory";
@@ -201,7 +153,7 @@ TEST(StreamV2Test, StoredFallbackHasNoDirectoryAndStillRangeReads) {
   EXPECT_EQ(decode_stats.chunks_decoded, 0u);
 }
 
-TEST(StreamV2Test, StreamingWriterStaysVersion1) {
+TEST(StreamV2Test, StreamingWriterEmitsVersion3) {
   std::vector<double> values = GenerateDatasetByName("obs_temp", 20000);
   Bytes collected;
   PrimacyStreamWriter writer(
@@ -210,9 +162,15 @@ TEST(StreamV2Test, StreamingWriterStaysVersion1) {
   writer.Finish();
   ASSERT_GT(collected.size(), 5u);
   EXPECT_EQ(static_cast<std::uint8_t>(collected[4]),
-            internal::kFormatVersion1);
-  PrimacyStreamReader reader(collected);
-  EXPECT_EQ(reader.ReadAllDoubles(), values);
+            internal::kFormatVersion3);
+  const PrimacyDecompressor decompressor(SmallChunks());
+  EXPECT_EQ(decompressor.Decompress(collected), values);
+  EXPECT_EQ(decompressor.DecompressRange(collected, 9000, 100),
+            std::vector<double>(values.begin() + 9000, values.begin() + 9100));
+  const StreamVerifyResult verdict = VerifyStream(collected);
+  EXPECT_TRUE(verdict.ok) << verdict.error;
+  EXPECT_TRUE(verdict.has_checksums);
+  EXPECT_EQ(verdict.chunks_checked, (20000u + 8191) / 8192);
 }
 
 TEST(StreamV2Test, DirectoryEntriesDescribeEveryChunk) {

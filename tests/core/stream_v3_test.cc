@@ -14,6 +14,7 @@
 #include "core/stream_format.h"
 #include "core/streaming.h"
 #include "datasets/datasets.h"
+#include "support/legacy_streams.h"
 #include "util/checksum.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -285,6 +286,77 @@ TEST(StreamV3Test, StreamReaderVerifiesOneShotV3Streams) {
   }
 }
 
+// A streamed header total (the sentinel) is accepted on v3 only, and the
+// total derived from the directory is checked for overflow: the directory
+// is untrusted input.
+TEST(StreamV3Test, StreamedSentinelTotalIsCheckedAndV3Only) {
+  const auto values = GenerateDatasetByName("obs_temp", 1000);
+  Bytes raw = ToBytes(AsBytes(values));
+  raw.insert(raw.end(), 7, std::byte{0x11});  // 7 tail bytes
+  Bytes streamed;
+  PrimacyStreamWriter writer(
+      [&](ByteSpan data) { AppendBytes(streamed, data); }, SmallChunks());
+  writer.AppendBytes(raw);
+  writer.Finish();
+  const internal::OpenedStream opened = internal::OpenStream(streamed, true);
+  EXPECT_EQ(opened.header.total_bytes, raw.size());
+  ASSERT_EQ(opened.directory.chunks.size(), 1u);
+
+  // Re-frames the stream with chunk 0 claiming `elements` (the directory
+  // checksum is recomputed, so only the element total can object).
+  const auto claiming = [&](std::uint64_t elements) {
+    internal::ChunkDirectory directory = opened.directory;
+    directory.chunks[0].elements = elements;
+    Bytes out(streamed.begin(),
+              streamed.begin() +
+                  static_cast<std::ptrdiff_t>(directory.directory_offset));
+    internal::AppendChunkDirectory(out, directory);
+    return out;
+  };
+  EXPECT_EQ(PrimacyDecompressor().DecompressBytes(claiming(1000)), raw);
+  // Σelements × 8 would wrap 64 bits.
+  EXPECT_THROW(internal::OpenStream(claiming(kStreamingTotal / 4), true),
+               CorruptStreamError);
+  // Σelements × 8 + 7 tail bytes lands exactly on the sentinel.
+  EXPECT_THROW(internal::OpenStream(claiming(kStreamingTotal / 8), true),
+               CorruptStreamError);
+
+  // v2 (and v1) streams may not use the sentinel.
+  Bytes v2;
+  internal::ChunkDirectory directory;
+  directory.chunks = legacy::AppendHeaderAndRecords(
+      v2, raw, SmallChunks(), kStreamingTotal, internal::kFormatVersion2);
+  directory.tail_offset = v2.size();
+  PutBlock(v2, ByteSpan(raw).last(7));
+  internal::AppendChunkDirectory(v2, directory, internal::kFormatVersion2);
+  EXPECT_THROW(PrimacyDecompressor().DecompressBytes(v2), CorruptStreamError);
+  EXPECT_THROW(PrimacyStreamReader{ByteSpan(v2)}, CorruptStreamError);
+}
+
+TEST(StreamV3Test, StreamedStreamsServeCacheAndParallelDecode) {
+  const auto values = GenerateDatasetByName("gts_phi_l", 50000);
+  Bytes streamed;
+  PrimacyStreamWriter writer(
+      [&](ByteSpan data) { AppendBytes(streamed, data); }, SmallChunks());
+  writer.Append(std::span(values));
+  writer.Finish();
+
+  PrimacyOptions options = SmallChunks();
+  options.threads = 4;
+  options.cache.enabled = true;
+  options.cache.capacity_bytes = 4 * 1024 * 1024;
+  const PrimacyDecompressor decompressor(options);
+  PrimacyDecodeStats cold;
+  EXPECT_EQ(decompressor.Decompress(streamed, &cold), values);
+  EXPECT_EQ(cold.chunks_verified, cold.chunks_decoded);
+  EXPECT_GT(cold.threads_used, 1u);
+  PrimacyDecodeStats warm;
+  EXPECT_EQ(decompressor.DecompressRange(streamed, 9000, 100, &warm),
+            std::vector<double>(values.begin() + 9000, values.begin() + 9100));
+  EXPECT_EQ(warm.chunks_decoded, 0u);
+  EXPECT_GT(warm.cache_hits, 0u);
+}
+
 TEST(StreamV3Test, InSituRoundTripAggregatesVerifiedChunks) {
   const auto values = GenerateDatasetByName("obs_temp", 50000);
   InSituOptions options;
@@ -318,17 +390,26 @@ TEST(StreamV3Test, VerifyStreamReportsHealthWithoutThrowing) {
   const StreamVerifyResult garbage = VerifyStream(BytesFromString("nonsense"));
   EXPECT_FALSE(garbage.ok);
 
-  // v1 (streamed) falls back to a structural decode.
+  // Streamed v1 falls back to a structural decode.
+  const Bytes streamed_v1 =
+      legacy::MakeStreamedV1Stream(AsBytes(values), SmallChunks());
+  const StreamVerifyResult v1 = VerifyStream(streamed_v1);
+  EXPECT_TRUE(v1.ok) << v1.error;
+  EXPECT_EQ(v1.version, internal::kFormatVersion1);
+  EXPECT_FALSE(v1.has_checksums);
+  EXPECT_GT(v1.chunks_checked, 0u);
+
+  // Streamed v3 (the writer's output) is hashed like a one-shot stream.
   Bytes collected;
   PrimacyStreamWriter writer(
       [&](ByteSpan data) { AppendBytes(collected, data); }, SmallChunks());
   writer.Append(std::span(values));
   writer.Finish();
-  const StreamVerifyResult v1 = VerifyStream(collected);
-  EXPECT_TRUE(v1.ok) << v1.error;
-  EXPECT_EQ(v1.version, internal::kFormatVersion1);
-  EXPECT_FALSE(v1.has_checksums);
-  EXPECT_GT(v1.chunks_checked, 0u);
+  const StreamVerifyResult v3 = VerifyStream(collected);
+  EXPECT_TRUE(v3.ok) << v3.error;
+  EXPECT_EQ(v3.version, internal::kFormatVersion3);
+  EXPECT_TRUE(v3.has_checksums);
+  EXPECT_EQ(v3.chunks_checked, ok.chunks_checked);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "datasets/datasets.h"
+#include "support/legacy_streams.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -42,6 +43,15 @@ TEST(StreamingTest, BatchedAppendsRoundTrip) {
   EXPECT_EQ(reader.ReadAllDoubles(), values);
 }
 
+/// The chunk-record bytes of a v3 stream: everything between the header
+/// and the tail block.
+Bytes RecordBytes(const Bytes& stream) {
+  const internal::OpenedStream s = internal::OpenStream(stream, true);
+  return Bytes(stream.begin() + static_cast<std::ptrdiff_t>(s.chunks_begin),
+               stream.begin() +
+                   static_cast<std::ptrdiff_t>(s.directory.tail_offset));
+}
+
 TEST(StreamingTest, StatsMatchOneShotCompressor) {
   const auto values = GenerateDatasetByName("num_plasma", 80000);
   Collector collector;
@@ -50,17 +60,65 @@ TEST(StreamingTest, StatsMatchOneShotCompressor) {
   const PrimacyStats streaming_stats = writer.Finish();
 
   PrimacyStats oneshot_stats;
-  PrimacyCompressor(SmallChunks()).Compress(values, &oneshot_stats);
+  const Bytes oneshot =
+      PrimacyCompressor(SmallChunks()).Compress(values, &oneshot_stats);
+  // Every field but output_bytes (and the stage timings, which are wall
+  // clock) is equal.
   EXPECT_EQ(streaming_stats.chunks, oneshot_stats.chunks);
+  EXPECT_EQ(streaming_stats.indexes_emitted, oneshot_stats.indexes_emitted);
+  EXPECT_EQ(streaming_stats.delta_indexes, oneshot_stats.delta_indexes);
+  EXPECT_EQ(streaming_stats.input_bytes, oneshot_stats.input_bytes);
+  EXPECT_EQ(streaming_stats.index_bytes, oneshot_stats.index_bytes);
   EXPECT_EQ(streaming_stats.id_compressed_bytes,
             oneshot_stats.id_compressed_bytes);
-  EXPECT_EQ(streaming_stats.input_bytes, oneshot_stats.input_bytes);
-  // Stream sizes differ only by the trailer/header shape plus the one-shot
-  // v2 chunk directory (~a dozen bytes per chunk + a 12-byte footer), which
-  // the v1 streamed format does not carry.
-  EXPECT_NEAR(static_cast<double>(streaming_stats.output_bytes),
-              static_cast<double>(oneshot_stats.output_bytes),
-              32.0 + 16.0 * static_cast<double>(oneshot_stats.chunks) + 12.0);
+  EXPECT_EQ(streaming_stats.mantissa_stream_bytes,
+            oneshot_stats.mantissa_stream_bytes);
+  EXPECT_EQ(streaming_stats.mantissa_raw_bytes,
+            oneshot_stats.mantissa_raw_bytes);
+  EXPECT_EQ(streaming_stats.mean_compressible_fraction,
+            oneshot_stats.mean_compressible_fraction);
+  EXPECT_EQ(streaming_stats.top_byte_frequency_before,
+            oneshot_stats.top_byte_frequency_before);
+  EXPECT_EQ(streaming_stats.top_byte_frequency_after,
+            oneshot_stats.top_byte_frequency_after);
+  EXPECT_EQ(streaming_stats.output_bytes, collector.stream.size());
+  EXPECT_EQ(oneshot_stats.output_bytes, oneshot.size());
+  // The streams differ only in the header's total (the 10-byte sentinel
+  // varint) and in the directory offsets that shifts.
+  EXPECT_EQ(RecordBytes(collector.stream), RecordBytes(oneshot));
+}
+
+TEST(StreamingTest, StreamedRecordsMatchOneShotAcrossOptions) {
+  PrimacyOptions reuse = SmallChunks();
+  reuse.index_mode = IndexMode::kReuseWhenCorrelated;
+  PrimacyOptions parallel = SmallChunks();
+  parallel.threads = 4;
+  PrimacyOptions single = SmallChunks();
+  single.precision = Precision::kSingle;
+  const auto values = GenerateDatasetByName("num_plasma", 70000);
+  const std::vector<float> floats(values.begin(), values.end());
+  for (const PrimacyOptions& options : {SmallChunks(), reuse, parallel,
+                                        single}) {
+    Bytes raw = options.precision == Precision::kSingle
+                    ? ToBytes(AsBytes(floats))
+                    : ToBytes(AsBytes(values));
+    raw.push_back(std::byte{0x5a});  // a partial trailing element
+    Collector collector;
+    PrimacyStreamWriter writer(collector.AsSink(), options);
+    // Uneven batches: chunks straddle appends, and one append holds several
+    // whole chunks (the parallel case).
+    std::size_t offset = 0;
+    for (const std::size_t batch : {std::size_t{1000}, std::size_t{200000},
+                                    std::size_t{77777}}) {
+      writer.AppendBytes(ByteSpan(raw).subspan(offset, batch));
+      offset += batch;
+    }
+    writer.AppendBytes(ByteSpan(raw).subspan(offset));
+    writer.Finish();
+    const Bytes oneshot = PrimacyCompressor(options).CompressBytes(raw);
+    EXPECT_EQ(RecordBytes(collector.stream), RecordBytes(oneshot));
+    EXPECT_EQ(PrimacyDecompressor().DecompressBytes(collector.stream), raw);
+  }
 }
 
 TEST(StreamingTest, ChunksEmittedIncrementally) {
@@ -114,14 +172,15 @@ TEST(StreamingTest, ReaderAlsoReadsOneShotStreams) {
 }
 
 TEST(StreamingTest, OneShotDecompressorRejectsStreamedStream) {
-  Collector collector;
-  PrimacyStreamWriter writer(collector.AsSink(), SmallChunks());
+  // A streamed v1 stream (the pre-v3 writer's shape) has no directory to
+  // derive its total from: only PrimacyStreamReader reads it.
   const std::vector<double> hundred(100, 1.0);
-  writer.Append(std::span(hundred));
-  writer.Finish();
+  const Bytes streamed_v1 =
+      legacy::MakeStreamedV1Stream(AsBytes(hundred), SmallChunks());
   const PrimacyDecompressor decompressor;
-  EXPECT_THROW(decompressor.DecompressBytes(collector.stream),
-               CorruptStreamError);
+  EXPECT_THROW(decompressor.DecompressBytes(streamed_v1), CorruptStreamError);
+  PrimacyStreamReader reader(streamed_v1);
+  EXPECT_EQ(reader.ReadAllDoubles(), hundred);
 }
 
 TEST(StreamingTest, TailBytesSurviveStreaming) {
@@ -221,12 +280,10 @@ TEST(StreamingTest, TruncatedStreamedStreamDetected) {
       CorruptStreamError);
 }
 
-// Pins the format gap: even with default (v3-capable) options, the
-// streaming writer emits v1 — no chunk directory, footer or checksums — so
-// the one-shot decompressor and range reads refuse its output. When the
-// streaming writer gains a v3 shape this test flips and must be updated
-// with it.
-TEST(StreamingTest, StreamWriterStillEmitsV1OnlyStreams) {
+// The streaming writer emits v3 (directory, footer and checksums after the
+// data, the sentinel as the header total), so the one-shot decompressor,
+// range reads and the hash-only verifier all accept its output.
+TEST(StreamingTest, StreamWriterEmitsV3Streams) {
   Collector collector;
   PrimacyStreamWriter writer(collector.AsSink(), PrimacyOptions{});
   std::vector<double> values(512);
@@ -239,13 +296,15 @@ TEST(StreamingTest, StreamWriterStillEmitsV1OnlyStreams) {
   ASSERT_GT(collector.stream.size(), 5u);
   // Byte 4 is the format version (after the 4-byte magic).
   EXPECT_EQ(static_cast<std::uint8_t>(collector.stream[4]),
-            internal::kFormatVersion1);
+            internal::kFormatVersion3);
   PrimacyDecompressor decompressor;
-  EXPECT_THROW(decompressor.DecompressBytes(collector.stream),
-               CorruptStreamError);
-  EXPECT_THROW(decompressor.DecompressRange(collector.stream, 0, 16),
-               CorruptStreamError);
-  // The sequential reader still handles it — that is all v1 offers.
+  EXPECT_EQ(decompressor.Decompress(collector.stream), values);
+  EXPECT_EQ(decompressor.DecompressRange(collector.stream, 100, 16),
+            std::vector<double>(values.begin() + 100, values.begin() + 116));
+  const StreamVerifyResult verdict = VerifyStream(collector.stream);
+  EXPECT_TRUE(verdict.ok) << verdict.error;
+  EXPECT_TRUE(verdict.has_checksums);
+  EXPECT_EQ(verdict.chunks_checked, 1u);
   PrimacyStreamReader reader{ByteSpan(collector.stream)};
   EXPECT_EQ(reader.ReadAllDoubles(), values);
 }

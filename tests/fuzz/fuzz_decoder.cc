@@ -3,8 +3,9 @@
 //
 //   ./build/fuzz/fuzz_decoder fuzz-corpus tests/golden/data -max_total_time=30
 //
-// The golden corpus doubles as the seed corpus: valid v1/v2/v3, stored, and
-// checkpoint bytes give the fuzzer real structure to mutate. The contract
+// The golden corpus doubles as the seed corpus: valid v1/v2/v3 (one-shot
+// and streamed), stored, and checkpoint bytes give the fuzzer real
+// structure to mutate. The contract
 // mirrors the CTest corruption harness: typed decode errors
 // (CorruptStreamError/InvalidArgumentError) and allocation failures are
 // expected outcomes; any other escape — crash, hang, sanitizer report,

@@ -10,6 +10,7 @@
 
 #include "core/primacy_codec.h"
 #include "core/stream_format.h"
+#include "core/streaming.h"
 #include "store/checkpoint_store.h"
 #include "util/error.h"
 
@@ -119,6 +120,58 @@ INSTANTIATE_TEST_SUITE_P(
       name.resize(name.size() - 4);  // drop ".bin"
       return name;
     });
+
+// Streamed streams of input.bin. A streamed v1 stream (the shape no writer
+// emits any more) decodes only through the sequential reader.
+TEST(GoldenStreamedTest, StreamedV1DecodesThroughReader) {
+  const Bytes stream = ReadGolden("streamed_v1.bin");
+  const Bytes input = ReadGolden("input.bin");
+  ASSERT_FALSE(stream.empty());
+  EXPECT_EQ(static_cast<std::uint8_t>(stream[4]), internal::kFormatVersion1);
+
+  PrimacyStreamReader reader(stream);
+  Bytes decoded;
+  while (reader.NextChunk(decoded)) {
+  }
+  EXPECT_EQ(decoded, input);
+
+  const StreamVerifyResult verdict = VerifyStream(stream);
+  EXPECT_TRUE(verdict.ok) << verdict.error;
+  EXPECT_FALSE(verdict.has_checksums);
+}
+
+// A streamed v3 stream (sentinel header total) serves every decode path, and
+// its records are the one-shot stream's records.
+TEST(GoldenStreamedTest, StreamedV3DecodesThroughEveryPath) {
+  const Bytes stream = ReadGolden("streamed_v3.bin");
+  const Bytes one_shot = ReadGolden("stream_v3.bin");
+  const Bytes input = ReadGolden("input.bin");
+  ASSERT_FALSE(stream.empty());
+  ASSERT_FALSE(one_shot.empty());
+  EXPECT_EQ(static_cast<std::uint8_t>(stream[4]), internal::kFormatVersion3);
+
+  EXPECT_EQ(PrimacyDecompressor().DecompressBytes(stream), input);
+  EXPECT_EQ(PrimacyDecompressor().DecompressBytesRange(stream, 250, 12),
+            Bytes(input.begin() + 250 * 8, input.begin() + 262 * 8));
+  PrimacyStreamReader reader(stream);
+  Bytes decoded;
+  while (reader.NextChunk(decoded)) {
+  }
+  EXPECT_EQ(decoded, input);
+
+  const StreamVerifyResult verdict = VerifyStream(stream);
+  EXPECT_TRUE(verdict.ok) << verdict.error;
+  EXPECT_TRUE(verdict.has_checksums);
+  EXPECT_EQ(verdict.chunks_checked, 3u);  // 600 doubles, 256 per chunk
+
+  const auto records = [](const Bytes& bytes) {
+    const internal::OpenedStream s = internal::OpenStream(bytes, true);
+    return Bytes(bytes.begin() + static_cast<std::ptrdiff_t>(s.chunks_begin),
+                 bytes.begin() +
+                     static_cast<std::ptrdiff_t>(s.directory.tail_offset));
+  };
+  EXPECT_EQ(records(stream), records(one_shot));
+}
 
 TEST(GoldenCheckpointTest, CommittedCheckpointRestores) {
   const Bytes checkpoint = ReadGolden("checkpoint.bin");

@@ -14,12 +14,11 @@
 #include <string>
 #include <vector>
 
-#include "bitstream/byte_io.h"
-#include "core/chunk_pipeline.h"
 #include "core/primacy_codec.h"
-#include "core/stream_format.h"
+#include "core/streaming.h"
 #include "datasets/datasets.h"
 #include "store/checkpoint_store.h"
+#include "support/legacy_streams.h"
 #include "util/rng.h"
 
 namespace {
@@ -58,50 +57,6 @@ Bytes GoldenNoise() {
   return ToBytes(AsBytes(noise));
 }
 
-Bytes MakeV1(ByteSpan input, const PrimacyOptions& options) {
-  Bytes out;
-  internal::WriteStreamHeader(out, options, input.size(), /*stored=*/false,
-                              internal::kFormatVersion1);
-  const auto solver = internal::ResolveSolver(options.solver);
-  ChunkEncoder encoder(options, *solver);
-  const std::size_t tail = input.size() % 8;
-  const std::size_t chunk_bytes = options.chunk_bytes;
-  for (std::size_t first = 0; first + 8 <= input.size() - tail;
-       first += chunk_bytes) {
-    const std::size_t count =
-        std::min(chunk_bytes, input.size() - tail - first);
-    encoder.EncodeChunk(input.subspan(first, count), out);
-  }
-  PutBlock(out, input.last(tail));
-  return out;
-}
-
-Bytes MakeV2(ByteSpan input, const PrimacyOptions& options) {
-  Bytes out;
-  internal::WriteStreamHeader(out, options, input.size(), /*stored=*/false,
-                              internal::kFormatVersion2);
-  const auto solver = internal::ResolveSolver(options.solver);
-  ChunkEncoder encoder(options, *solver);
-  const std::size_t tail = input.size() % 8;
-  const std::size_t chunk_bytes = options.chunk_bytes;
-  internal::ChunkDirectory directory;
-  for (std::size_t first = 0; first + 8 <= input.size() - tail;
-       first += chunk_bytes) {
-    const std::size_t count =
-        std::min(chunk_bytes, input.size() - tail - first);
-    internal::ChunkDirectoryEntry entry;
-    entry.offset = out.size();
-    entry.elements = count / 8;
-    entry.index_flag = 1;
-    encoder.EncodeChunk(input.subspan(first, count), out);
-    directory.chunks.push_back(entry);
-  }
-  directory.tail_offset = out.size();
-  PutBlock(out, input.last(tail));
-  internal::AppendChunkDirectory(out, directory, internal::kFormatVersion2);
-  return out;
-}
-
 void WriteFile(const std::string& path, ByteSpan data) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(data.data()),
@@ -125,10 +80,18 @@ int main(int argc, char** argv) {
 
   const Bytes input = GoldenInput();
   WriteFile(dir + "/input.bin", input);
-  WriteFile(dir + "/stream_v1.bin", MakeV1(input, options));
-  WriteFile(dir + "/stream_v2.bin", MakeV2(input, options));
+  WriteFile(dir + "/stream_v1.bin", legacy::MakeV1Stream(input, options));
+  WriteFile(dir + "/stream_v2.bin", legacy::MakeV2Stream(input, options));
   WriteFile(dir + "/stream_v3.bin",
             PrimacyCompressor(options).CompressBytes(input));
+  WriteFile(dir + "/streamed_v1.bin",
+            legacy::MakeStreamedV1Stream(input, options));
+  Bytes streamed;
+  PrimacyStreamWriter stream_writer(
+      [&](ByteSpan bytes) { AppendBytes(streamed, bytes); }, options);
+  stream_writer.AppendBytes(input);
+  stream_writer.Finish();
+  WriteFile(dir + "/streamed_v3.bin", streamed);
 
   const Bytes noise = GoldenNoise();
   WriteFile(dir + "/noise.bin", noise);

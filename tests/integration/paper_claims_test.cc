@@ -6,6 +6,10 @@
 // implementation, synthetic data); the *direction* of every claim must hold.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "compress/codec.h"
 #include "core/primacy_codec.h"
 #include "datasets/datasets.h"
@@ -61,15 +65,50 @@ TEST(TableThreeClaims, PrimacyBeatsSolverRatioOnAlmostAllDatasets) {
                          "nearly every dataset";
 }
 
+double Median(std::vector<double> seconds) {
+  const auto mid =
+      seconds.begin() + static_cast<std::ptrdiff_t>(seconds.size() / 2);
+  std::nth_element(seconds.begin(), mid, seconds.end());
+  return *mid;
+}
+
+/// Median compress and decompress times of `rounds` interleaved measurements
+/// of `a` and `b` (alternating which goes first), so a burst of host load
+/// hits both codecs alike instead of deciding the comparison.
+std::pair<CodecMeasurement, CodecMeasurement> MedianInterleaved(
+    const Codec& a, const Codec& b, ByteSpan raw, std::size_t rounds) {
+  std::vector<CodecMeasurement> runs[2];
+  for (std::size_t r = 0; r < rounds; ++r) {
+    const std::size_t first = r % 2;
+    runs[first].push_back(MeasureCodec(first == 0 ? a : b, raw));
+    runs[1 - first].push_back(MeasureCodec(first == 0 ? b : a, raw));
+  }
+  CodecMeasurement medians[2];
+  for (std::size_t i = 0; i < 2; ++i) {
+    std::vector<double> compress;
+    std::vector<double> decompress;
+    for (const CodecMeasurement& run : runs[i]) {
+      compress.push_back(run.compress_seconds);
+      decompress.push_back(run.decompress_seconds);
+    }
+    medians[i] = runs[i].front();
+    medians[i].compress_seconds = Median(compress);
+    medians[i].decompress_seconds = Median(decompress);
+  }
+  return {medians[0], medians[1]};
+}
+
 TEST(TableThreeClaims, PrimacyCompressesFasterOnHardDatasets) {
   // The throughput win comes from ISOBAR skipping incompressible mantissa
-  // bytes; check a clearly hard dataset end to end.
+  // bytes; check a clearly hard dataset end to end. Single wall-clock runs
+  // flip under a parallel ctest, so the claim compares medians of five
+  // interleaved runs per codec.
   const auto values = GenerateDatasetByName("gts_chkp_zeon", kElements);
   const ByteSpan raw = AsBytes(values);
   const DeflateCodec solver;
   const PrimacyCodec primacy;
-  const CodecMeasurement vanilla = MeasureCodec(solver, raw);
-  const CodecMeasurement precond = MeasureCodec(primacy, raw);
+  const auto [vanilla, precond] =
+      MedianInterleaved(solver, primacy, raw, /*rounds=*/5);
   EXPECT_GT(precond.CompressMBps(), vanilla.CompressMBps());
   EXPECT_GT(precond.DecompressMBps(), vanilla.DecompressMBps());
 }
