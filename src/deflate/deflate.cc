@@ -41,46 +41,47 @@ constexpr std::uint8_t kBlockHuffman = 1;
 /// enough that statistics stay locally adaptive.
 constexpr std::size_t kTokensPerBlock = 1u << 16;
 
-std::size_t LengthCodeFor(std::size_t length) {
-  PRIMACY_CHECK(length >= kLzMinMatch && length <= kLzMaxMatch);
-  // Linear scan is fine: called through a small cached table below.
-  for (std::size_t code = kNumLengthCodes; code-- > 0;) {
-    if (length >= kLengthBase[code]) return code;
+/// Length -> length code, for lengths in [kLzMinMatch, kLzMaxMatch].
+constexpr auto kLengthCode = [] {
+  std::array<std::uint8_t, kLzMaxMatch + 1> table{};
+  std::size_t code = 0;
+  for (std::size_t len = kLzMinMatch; len <= kLzMaxMatch; ++len) {
+    while (code + 1 < kNumLengthCodes && len >= kLengthBase[code + 1]) ++code;
+    table[len] = static_cast<std::uint8_t>(code);
   }
-  throw InternalError("deflate: unreachable length code");
-}
-
-std::size_t DistCodeFor(std::size_t distance) {
-  PRIMACY_CHECK(distance >= 1 && distance <= kLzWindowSize);
-  for (std::size_t code = kNumDistCodes; code-- > 0;) {
-    if (distance >= kDistBase[code]) return code;
-  }
-  throw InternalError("deflate: unreachable distance code");
-}
-
-/// Precomputed length->code table (length in [3,258]).
-const std::array<std::uint8_t, kLzMaxMatch + 1>& LengthCodeTable() {
-  static const auto table = [] {
-    std::array<std::uint8_t, kLzMaxMatch + 1> t{};
-    for (std::size_t len = kLzMinMatch; len <= kLzMaxMatch; ++len) {
-      t[len] = static_cast<std::uint8_t>(LengthCodeFor(len));
-    }
-    return t;
-  }();
   return table;
+}();
+
+/// Index of `distance` in kDistCode (zlib's _dist_code layout): distances up
+/// to 256 index it directly; above 256 every code base is 128k + 1, so
+/// (distance - 1) >> 7 names one code.
+constexpr std::size_t DistCodeIndex(std::size_t distance) {
+  return distance <= 256 ? distance - 1 : 256 + ((distance - 1) >> 7);
 }
+
+/// Distance -> distance code, indexed through DistCodeIndex.
+constexpr auto kDistCode = [] {
+  std::array<std::uint8_t, 512> table{};
+  for (std::size_t code = 0; code < kNumDistCodes; ++code) {
+    const std::size_t end =
+        kDistBase[code] + (std::size_t{1} << kDistExtra[code]);
+    for (std::size_t d = kDistBase[code]; d < end; ++d) {
+      table[DistCodeIndex(d)] = static_cast<std::uint8_t>(code);
+    }
+  }
+  return table;
+}();
 
 void EncodeBlock(Bytes& out, std::span<const LzToken> tokens) {
   // Gather symbol statistics.
   std::vector<std::uint64_t> litlen_freq(kLitLenAlphabet, 0);
   std::vector<std::uint64_t> dist_freq(kNumDistCodes, 0);
-  const auto& len_code = LengthCodeTable();
   for (const LzToken& token : tokens) {
     if (token.IsLiteral()) {
       ++litlen_freq[token.literal];
     } else {
-      ++litlen_freq[256 + len_code[token.length]];
-      ++dist_freq[DistCodeFor(token.distance)];
+      ++litlen_freq[256 + internal::LengthCode(token.length)];
+      ++dist_freq[internal::DistCode(token.distance)];
     }
   }
 
@@ -101,10 +102,10 @@ void EncodeBlock(Bytes& out, std::span<const LzToken> tokens) {
       litlen_encoder.Encode(writer, token.literal);
       continue;
     }
-    const std::size_t lcode = len_code[token.length];
+    const std::size_t lcode = internal::LengthCode(token.length);
     litlen_encoder.Encode(writer, 256 + lcode);
     writer.WriteBits(token.length - kLengthBase[lcode], kLengthExtra[lcode]);
-    const std::size_t dcode = DistCodeFor(token.distance);
+    const std::size_t dcode = internal::DistCode(token.distance);
     dist_encoder->Encode(writer, dcode);
     writer.WriteBits(token.distance - kDistBase[dcode], kDistExtra[dcode]);
   }
@@ -220,6 +221,20 @@ Bytes DecompressImpl(ByteSpan data) {
 }
 
 }  // namespace
+
+namespace internal {
+
+std::size_t LengthCode(std::size_t length) {
+  PRIMACY_CHECK(length >= kLzMinMatch && length <= kLzMaxMatch);
+  return kLengthCode[length];
+}
+
+std::size_t DistCode(std::size_t distance) {
+  PRIMACY_CHECK(distance >= 1 && distance <= kLzWindowSize);
+  return kDistCode[DistCodeIndex(distance)];
+}
+
+}  // namespace internal
 
 Bytes DeflateCodec::Compress(ByteSpan data) const {
   return CompressImpl(data, params_);

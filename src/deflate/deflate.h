@@ -39,4 +39,16 @@ class DeflateFastCodec final : public Codec {
   Bytes Decompress(ByteSpan data) const override;
 };
 
+namespace internal {
+
+/// Deflate length code (0..28, RFC 1951 section 3.2.5) of a match length in
+/// [kLzMinMatch, kLzMaxMatch]; 258 has its own code 28.
+std::size_t LengthCode(std::size_t length);
+
+/// Deflate distance code (0..29) of a distance in [1, kLzWindowSize], by
+/// one lookup in a 512-entry table.
+std::size_t DistCode(std::size_t distance);
+
+}  // namespace internal
+
 }  // namespace primacy

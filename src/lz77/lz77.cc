@@ -13,12 +13,23 @@ constexpr std::size_t kHashBits = 15;
 constexpr std::size_t kHashSize = 1u << kHashBits;
 constexpr std::uint32_t kNoPos = 0xffffffffu;
 
+/// The 3 bytes at p as one word, p[0] in the high byte.
+std::uint32_t Load24(const std::byte* p) {
+  return (static_cast<std::uint32_t>(p[0]) << 16) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         static_cast<std::uint32_t>(p[2]);
+}
+
+/// The 4 bytes at p as one word (only ever compared for equality).
+std::uint32_t Load32(const std::byte* p) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
 /// Multiplicative hash over the next 3 bytes.
 std::uint32_t HashAt(const std::byte* p) {
-  const std::uint32_t v = (static_cast<std::uint32_t>(p[0]) << 16) |
-                          (static_cast<std::uint32_t>(p[1]) << 8) |
-                          static_cast<std::uint32_t>(p[2]);
-  return (v * 0x9E3779B1u) >> (32 - kHashBits);
+  return (Load24(p) * 0x9E3779B1u) >> (32 - kHashBits);
 }
 
 /// Length of the common prefix of a and b, up to `limit`.
@@ -50,7 +61,7 @@ class MatchFinder {
   void Insert(std::size_t pos) {
     if (pos + kLzMinMatch > data_.size()) return;
     const std::uint32_t h = HashAt(data_.data() + pos);
-    prev_[pos & (prev_.size() - 1)] = head_[h];
+    prev_[pos & (kLzWindowSize - 1)] = head_[h];
     head_[h] = static_cast<std::uint32_t>(pos);
   }
 
@@ -59,30 +70,53 @@ class MatchFinder {
     std::size_t distance = 0;
   };
 
-  /// Best match at `pos` subject to the chain budget.
+  /// Best match at `pos` subject to the chain budget: the first probed
+  /// candidate of greatest length (at least kLzMinMatch). Probing stops at
+  /// the first candidate that reaches `nice_length` or the length cap
+  /// (kLzMaxMatch or the bytes left).
   Match FindBest(std::size_t pos, const LzParams& params) const {
     Match best;
     if (pos + kLzMinMatch > data_.size()) return best;
     const std::size_t limit =
         std::min(kLzMaxMatch, data_.size() - pos);
     const std::byte* const cur = data_.data() + pos;
+    // Before any match, a candidate sharing fewer than kLzMinMatch leading
+    // bytes is never returned, so only those bytes are compared. Under a
+    // nice_length below kLzMinMatch the first candidate that long still ends
+    // the search (returning no match), so then only nice_length bytes are.
+    const std::size_t skip_bits =
+        8 * (kLzMinMatch -
+             std::clamp<std::size_t>(params.nice_length, 1, kLzMinMatch));
+    const std::uint32_t prefix_mask = (0xffffffu >> skip_bits) << skip_bits;
+    const std::uint32_t cur_prefix = Load24(cur);
+    // Once a match is found, its last 4 bytes [tail, best.length] at `cur`.
+    std::size_t tail = 0;
+    std::uint32_t cur_tail = 0;
     std::uint32_t candidate = head_[HashAt(cur)];
     std::size_t probes = params.max_chain;
     while (candidate != kNoPos && probes-- > 0) {
       const std::size_t cpos = candidate;
       if (cpos >= pos || pos - cpos > kLzWindowSize) break;
-      // Quick reject: check the byte just past the current best.
-      if (best.length == 0 ||
-          data_[cpos + best.length] == cur[best.length]) {
-        const std::size_t len =
-            MatchLength(data_.data() + cpos, cur, limit);
+      const std::byte* const cand = data_.data() + cpos;
+      // Quick reject: a candidate beats best only if it matches every byte
+      // of [0, best.length], so one word compare inside that window (the
+      // last 4 bytes of it, or the leading bytes before any match) rejects
+      // it without changing the result. Every byte read lies below
+      // pos + limit, so the compare stays inside the buffer.
+      const bool may_beat =
+          best.length == 0 ? ((Load24(cand) ^ cur_prefix) & prefix_mask) == 0
+                           : Load32(cand + tail) == cur_tail;
+      if (may_beat) {
+        const std::size_t len = MatchLength(cand, cur, limit);
         if (len > best.length) {
           best.length = len;
           best.distance = pos - cpos;
           if (len >= params.nice_length || len == limit) break;
+          tail = len + 1 - sizeof(std::uint32_t);
+          cur_tail = Load32(cur + tail);
         }
       }
-      candidate = prev_[cpos & (prev_.size() - 1)];
+      candidate = prev_[cpos & (kLzWindowSize - 1)];
     }
     if (best.length < kLzMinMatch) return Match{};
     return best;
@@ -103,19 +137,27 @@ std::vector<LzToken> LzParse(ByteSpan data, const LzParams& params) {
 
   MatchFinder finder(data);
 
+  // The lazy check's FindBest(pos + 1) when it emitted a literal at pos:
+  // the dictionary then holds pos but not pos + 1, exactly the state the
+  // next iteration would search, so its result is reused.
+  MatchFinder::Match next;
+  bool have_next = false;
   std::size_t pos = 0;
   while (pos < data.size()) {
-    MatchFinder::Match match = finder.FindBest(pos, params);
+    const MatchFinder::Match match =
+        have_next ? next : finder.FindBest(pos, params);
+    have_next = false;
     if (params.lazy && match.length >= kLzMinMatch &&
         match.length < params.nice_length && pos + 1 < data.size()) {
       // One-step lazy matching: if the next position holds a strictly longer
       // match, emit a literal here instead.
       finder.Insert(pos);
-      const MatchFinder::Match next = finder.FindBest(pos + 1, params);
+      next = finder.FindBest(pos + 1, params);
       if (next.length > match.length) {
         tokens.push_back(
             LzToken{static_cast<std::uint8_t>(data[pos]), 0, 0});
         ++pos;
+        have_next = true;
         continue;
       }
       // Keep the current match; pos was already inserted.

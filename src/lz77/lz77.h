@@ -1,6 +1,16 @@
 // LZ77 parsing: hash-chain match finder with optional one-step lazy
 // evaluation, in the zlib mold. Produces a token stream consumed by the
 // Deflate codec's entropy stage.
+//
+// The match at a position is the first probed chain candidate of greatest
+// length. Quick-reject invariant: a candidate can replace the current best
+// only if it matches every byte in [0, best.length], so the finder rejects
+// one that differs anywhere in that window with a single word compare (the
+// 4 bytes ending at offset best.length, or the first 3 bytes before any
+// match) before measuring it. A rejected candidate still spends one probe
+// of max_chain, so the tokens are those of a finder that measures every
+// candidate (tests/support/reference_lz77.h, held equal by the
+// LzParseIdentity suite).
 #pragma once
 
 #include <cstdint>

@@ -102,5 +102,43 @@ TEST(DeflateTest, EmptyInputProducesDecodableStream) {
   EXPECT_TRUE(codec.Decompress(compressed).empty());
 }
 
+// RFC 1951 section 3.2.5, written out independently of the encoder's tables.
+constexpr std::uint32_t kRfcLengthBase[] = {
+    3,  4,  5,  6,  7,  8,  9,  10, 11,  13,  15,  17,  19,  23, 27,
+    31, 35, 43, 51, 59, 67, 83, 99, 115, 131, 163, 195, 227, 258};
+constexpr std::uint32_t kRfcLengthExtra[] = {0, 0, 0, 0, 0, 0, 0, 0, 1, 1,
+                                             1, 1, 2, 2, 2, 2, 3, 3, 3, 3,
+                                             4, 4, 4, 4, 5, 5, 5, 5, 0};
+constexpr std::uint32_t kRfcDistBase[] = {
+    1,    2,    3,    4,    5,    7,    9,    13,    17,    25,
+    33,   49,   65,   97,   129,  193,  257,  385,   513,   769,
+    1025, 1537, 2049, 3073, 4097, 6145, 8193, 12289, 16385, 24577};
+constexpr std::uint32_t kRfcDistExtra[] = {0, 0, 0,  0,  1,  1,  2,  2,
+                                           3, 3, 4,  4,  5,  5,  6,  6,
+                                           7, 7, 8,  8,  9,  9,  10, 10,
+                                           11, 11, 12, 12, 13, 13};
+
+TEST(DeflateCodeTable, EveryLengthFallsInItsCodeRange) {
+  for (std::size_t length = kLzMinMatch; length <= kLzMaxMatch; ++length) {
+    const std::size_t code = internal::LengthCode(length);
+    ASSERT_LT(code, std::size(kRfcLengthBase)) << "length " << length;
+    EXPECT_LE(kRfcLengthBase[code], length) << "length " << length;
+    EXPECT_LT(length, kRfcLengthBase[code] + (1u << kRfcLengthExtra[code]))
+        << "length " << length;
+  }
+  // Code 27's extra bits could spell 258, but 258 has its own code.
+  EXPECT_EQ(internal::LengthCode(kLzMaxMatch), 28u);
+}
+
+TEST(DeflateCodeTable, EveryDistanceFallsInItsCodeRange) {
+  for (std::size_t distance = 1; distance <= kLzWindowSize; ++distance) {
+    const std::size_t code = internal::DistCode(distance);
+    ASSERT_LT(code, std::size(kRfcDistBase)) << "distance " << distance;
+    EXPECT_LE(kRfcDistBase[code], distance) << "distance " << distance;
+    EXPECT_LT(distance, kRfcDistBase[code] + (1u << kRfcDistExtra[code]))
+        << "distance " << distance;
+  }
+}
+
 }  // namespace
 }  // namespace primacy
