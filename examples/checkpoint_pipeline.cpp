@@ -1,51 +1,37 @@
 // Checkpoint & restart pipeline: the paper's motivating workload.
 //
 // A simulated compute node produces a large double-precision state array
-// every "timestep"; the in-situ driver compresses it shard-parallel across a
-// thread pool, the shards are written to a checkpoint file, and a restart
-// reads and decompresses them back. Timings for every phase are printed so
-// the compression-vs-I/O trade is visible.
+// every "timestep"; it is compressed in memory as one checkpoint variable
+// (chunks encode in parallel on the shared pool), the checkpoint is written
+// to a file, and a restart reads it back and decompresses it. Timings for
+// every phase are printed so the compression-vs-I/O trade is visible.
 //
 //   ./checkpoint_pipeline [dataset] [elements] [timesteps]
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
-#include "bitstream/byte_io.h"
-#include "core/in_situ.h"
 #include "datasets/datasets.h"
+#include "store/checkpoint_store.h"
 #include "util/error.h"
 #include "util/timer.h"
 
 namespace {
 
-void WriteCheckpoint(const std::filesystem::path& path,
-                     const primacy::InSituResult& result) {
-  primacy::Bytes file;
-  primacy::PutVarint(file, result.shards.size());
-  for (const primacy::Bytes& shard : result.shards) {
-    primacy::PutBlock(file, shard);
-  }
+void WriteFile(const std::filesystem::path& path, const primacy::Bytes& file) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(reinterpret_cast<const char*>(file.data()),
             static_cast<std::streamsize>(file.size()));
   if (!out) throw primacy::Error("checkpoint write failed");
 }
 
-std::vector<primacy::Bytes> ReadCheckpoint(const std::filesystem::path& path) {
+primacy::Bytes ReadFile(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
   const std::string raw((std::istreambuf_iterator<char>(in)),
                         std::istreambuf_iterator<char>());
-  const primacy::Bytes file = primacy::BytesFromString(raw);
-  primacy::ByteReader reader(file);
-  const std::uint64_t count = reader.GetVarint();
-  std::vector<primacy::Bytes> shards;
-  shards.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    shards.push_back(primacy::ToBytes(reader.GetBlock()));
-  }
-  return shards;
+  return primacy::BytesFromString(raw);
 }
 
 }  // namespace
@@ -58,8 +44,8 @@ int main(int argc, char** argv) {
 
   const auto path = std::filesystem::temp_directory_path() /
                     "primacy_checkpoint.bin";
-  primacy::InSituOptions options;
-  options.primacy.index_mode = primacy::IndexMode::kReuseWhenCorrelated;
+  primacy::PrimacyOptions options;
+  options.threads = 0;  // chunk-parallel encode and decode across all cores
 
   std::printf("Checkpoint pipeline: dataset=%s, %zu doubles, %d timesteps\n",
               dataset.c_str(), elements, timesteps);
@@ -73,19 +59,22 @@ int main(int argc, char** argv) {
     const std::vector<double> state = primacy::GenerateDataset(spec, elements);
 
     primacy::WallTimer timer;
-    const primacy::InSituResult result = InSituCompress(state, options);
+    primacy::CheckpointWriter writer(options);
+    writer.Add("state", std::span(state));
+    const primacy::Bytes checkpoint = writer.Finish();
     const double compress_s = timer.Seconds();
 
     timer.Reset();
-    WriteCheckpoint(path, result);
+    WriteFile(path, checkpoint);
     const double write_s = timer.Seconds();
 
     timer.Reset();
-    const std::vector<primacy::Bytes> shards = ReadCheckpoint(path);
+    const primacy::Bytes file = ReadFile(path);
     const double read_s = timer.Seconds();
 
     timer.Reset();
-    const std::vector<double> restored = InSituDecompress(shards, options);
+    const primacy::CheckpointReader reader(file, options);
+    const std::vector<double> restored = reader.ReadDoubles("state");
     const double restore_s = timer.Seconds();
 
     if (restored != state) {
@@ -94,7 +83,7 @@ int main(int argc, char** argv) {
     }
     std::printf("%-10d %12.3f %12.3f %12.3f %12.3f %10.3f\n", step,
                 compress_s, write_s, read_s, restore_s,
-                result.totals.CompressionRatio());
+                reader.Find("state").CompressionRatio());
   }
   std::filesystem::remove(path);
   std::printf("\nAll restarts verified bit-exact.\n");

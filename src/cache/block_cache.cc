@@ -246,13 +246,6 @@ bool DecodedBlockCache::Insert(std::uint64_t stream_id,
   return true;
 }
 
-bool DecodedBlockCache::Contains(std::uint64_t stream_id,
-                                 std::uint64_t chunk_index) const {
-  const internal::CacheShard& shard = ShardFor(stream_id, chunk_index);
-  primacy::MutexLock lock(shard.mutex);
-  return shard.index.count({stream_id, chunk_index}) != 0;
-}
-
 void DecodedBlockCache::Clear() {
   for (const auto& shard : shards_) {
     primacy::MutexLock lock(shard->mutex);

@@ -34,8 +34,8 @@ struct CacheEntry;  // one decoded chunk + pin count (block_cache.cc)
 }  // namespace internal
 
 /// Read-path cache knobs, threaded through PrimacyOptions (and from there
-/// CheckpointReader / InSituOptions). Off by default: the cache trades
-/// memory for decode work, which only pays when reads repeat.
+/// CheckpointReader). Off by default: the cache trades memory for decode
+/// work, which only pays when reads repeat.
 struct CacheOptions {
   /// Master switch; when false no cache is constructed and every decode is
   /// byte-identical to the uncached path.
@@ -46,10 +46,6 @@ struct CacheOptions {
   /// Number of independently locked shards (clamped to >= 1). More shards
   /// = less contention, slightly worse LRU fidelity (eviction is per-shard).
   std::size_t shard_count = 8;
-  /// After a range read, decode up to this many adjacent chunks past the
-  /// range on the shared pool (best effort, full-index chunks only) so a
-  /// sequential scan finds them warm. 0 disables prefetch.
-  std::size_t prefetch_chunks = 0;
 };
 
 /// Counters snapshot from DecodedBlockCache::Stats. Maintained internally
@@ -133,10 +129,6 @@ class DecodedBlockCache {
   /// wins — the bytes are identical by construction) or the entry alone
   /// exceeds the shard budget.
   bool Insert(std::uint64_t stream_id, std::uint64_t chunk_index, Bytes data);
-
-  /// True when the key is resident, without pinning or touching LRU order
-  /// (prefetch uses this to skip chunks already cached).
-  bool Contains(std::uint64_t stream_id, std::uint64_t chunk_index) const;
 
   /// Drops every unpinned entry (pinned entries survive).
   void Clear();

@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "util/bytes.h"
 
@@ -49,5 +50,12 @@ struct CodecMeasurement {
 /// Runs one compress+decompress cycle, validates the roundtrip, and returns
 /// timings. Throws InternalError if the roundtrip mismatches.
 CodecMeasurement MeasureCodec(const Codec& codec, ByteSpan data);
+
+/// Median compress and decompress times of `rounds` (> 0) interleaved
+/// MeasureCodec runs of `a` and `b` (alternating which goes first), so a
+/// burst of host load hits both codecs alike instead of deciding the
+/// comparison. Sizes come from the first run; every run is roundtrip-checked.
+std::pair<CodecMeasurement, CodecMeasurement> MedianInterleaved(
+    const Codec& a, const Codec& b, ByteSpan data, std::size_t rounds);
 
 }  // namespace primacy

@@ -20,6 +20,10 @@ namespace {
 
 constexpr std::size_t kHighWidth = 2;
 
+/// Frequency-vector correlation above which kReuseWhenCorrelated keeps the
+/// previous chunk's index.
+constexpr double kIndexReuseCorrelation = 0.95;
+
 /// Per-chunk per-stage durations: 1 µs up to ~1 s, one bucket per decade.
 constexpr std::array<double, 7> kStageSecondsBounds = {
     1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0};
@@ -173,8 +177,7 @@ ChunkRecordStats ChunkEncoder::EncodeChunk(ByteSpan chunk, Bytes& out) {
   std::vector<std::uint16_t> delta;
   if (options_.index_mode == IndexMode::kReuseWhenCorrelated &&
       prev_index_.has_value() && prev_freq_.has_value() &&
-      FrequencyCorrelation(*prev_freq_, freq) >=
-          options_.index_reuse_correlation) {
+      FrequencyCorrelation(*prev_freq_, freq) >= kIndexReuseCorrelation) {
     delta = prev_index_->MissingSequences(freq);
     if (delta.empty()) {
       action = IndexAction::kReuse;

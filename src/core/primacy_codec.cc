@@ -11,7 +11,6 @@
 #include "core/chunk_pipeline.h"
 #include "core/stream_format.h"
 #include "core/streaming.h"
-#include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 #include "util/checksum.h"
 #include "util/error.h"
@@ -150,57 +149,6 @@ struct CachedChunkReader {
   }
 };
 
-/// Best-effort adjacent-chunk prefetch after a range read: decodes up to
-/// `prefetch_chunks` chunks from `next` on the shared pool and inserts
-/// them into `cache`, so a sequential scan's next range call finds them
-/// warm. Only full-index chunks qualify (reuse/delta chunks would need the
-/// caller's chain state), already-resident chunks are skipped, and each
-/// task owns a copy of its record bytes — the caller's stream span may
-/// dangle once the range call returns. Failures (corrupt record, solver
-/// error) are swallowed: the chunk just stays cold, and the demand path
-/// re-verifies and reports there.
-void PrefetchAdjacentChunks(const internal::OpenedStream& s,
-                            const std::shared_ptr<DecodedBlockCache>& cache,
-                            std::uint64_t stream_id, std::size_t next,
-                            std::size_t prefetch_chunks,
-                            PrimacyDecodeStats& accounting) {
-  const std::size_t limit =
-      next + std::min(prefetch_chunks, s.directory.chunks.size() - next);
-  for (std::size_t c = next; c < limit; ++c) {
-    const internal::ChunkDirectoryEntry& entry = s.directory.chunks[c];
-    if (entry.index_flag != 1) continue;
-    if (cache->Contains(stream_id, c)) continue;
-    Bytes record = ToBytes(internal::RecordSpan(s, c));
-    SharedThreadPool().Submit(
-        [record = std::move(record), cache, stream_id, c,
-         solver_name = s.header.solver_name,
-         linearization = s.header.linearization, width = s.header.width,
-         elements = entry.elements, checksum = entry.checksum,
-         verify = s.verify] {
-          try {
-            if (verify && Xxh64(record) != checksum) return;
-            const auto solver = CreateCodec(solver_name);
-            ChunkDecoder decoder(*solver, linearization, width);
-            ByteReader reader(record);
-            const std::uint64_t n = reader.GetVarint();
-            if (n != elements) return;
-            Bytes decoded(static_cast<std::size_t>(n * width));
-            decoder.DecodeChunkInto(reader, n, decoded);
-            cache->Insert(stream_id, c, std::move(decoded));
-          } catch (...) {
-            // Best effort by contract; the demand path surfaces errors.
-          }
-        });
-    ++accounting.prefetch_issued;
-    if constexpr (telemetry::kEnabled) {
-      static telemetry::Counter& prefetch_total =
-          telemetry::MetricsRegistry::Global().GetCounter(
-              "primacy_cache_prefetch_total");
-      prefetch_total.Increment();
-    }
-  }
-}
-
 /// Maximal runs of chunks in [cfirst, cend) that start at a full index (or
 /// at cfirst): within a group chunks depend on the running index state
 /// (flags 0/2); across groups they are independent, which is the unit of
@@ -227,12 +175,11 @@ std::vector<std::pair<std::size_t, std::size_t>> IndexGroups(
 /// decode is the span over every chunk. With threads != 1 and more than one
 /// index group, groups spread across the shared pool, byte-identical to a
 /// serial run. Only a span that starts mid-chain primes the index chain.
-/// Reads go through the decoded-block cache (when configured), followed by
-/// an adjacent-chunk prefetch past the span.
+/// Reads go through the decoded-block cache when one is configured.
 void DecodeChunkSpan(const internal::OpenedStream& s, std::size_t cfirst,
                      std::size_t cend, std::uint64_t first_element,
                      MutableByteSpan out, const PrimacyOptions& options,
-                     const std::shared_ptr<DecodedBlockCache>& cache,
+                     DecodedBlockCache* cache,
                      PrimacyDecodeStats& accounting) {
   accounting.used_directory = true;
   const std::uint64_t width = s.header.width;
@@ -246,7 +193,7 @@ void DecodeChunkSpan(const internal::OpenedStream& s, std::size_t cfirst,
   const auto decode_group = [&](ChunkDecoder& decoder, Bytes& scratch,
                                 std::size_t g) {
     const auto [first, n] = groups[g];
-    CachedChunkReader chunks{s, cache.get(), stream_id};
+    CachedChunkReader chunks{s, cache, stream_id};
     for (std::size_t c = first; c < first + n; ++c) {
       const std::uint64_t chunk_first = s.starts[c];
       const std::uint64_t chunk_end =
@@ -311,11 +258,6 @@ void DecodeChunkSpan(const internal::OpenedStream& s, std::size_t cfirst,
     accounting.stage.Accumulate(decoder.stage_breakdown());
   }
   for (const PrimacyDecodeStats& g : per_group) accounting.Accumulate(g);
-
-  if (cache != nullptr && options.cache.prefetch_chunks > 0) {
-    PrefetchAdjacentChunks(s, cache, stream_id, cend,
-                           options.cache.prefetch_chunks, accounting);
-  }
 }
 
 }  // namespace
@@ -407,7 +349,7 @@ Bytes PrimacyDecompressor::DecompressBytes(ByteSpan stream,
     const std::size_t element_bytes = out.size() - s.tail.size();
     DecodeChunkSpan(s, 0, s.directory.chunks.size(), 0,
                     MutableByteSpan(out).first(element_bytes), options_,
-                    cache_, accounting);
+                    cache_.get(), accounting);
     if (!s.tail.empty()) {
       std::memcpy(out.data() + element_bytes, s.tail.data(), s.tail.size());
     }
@@ -485,7 +427,7 @@ Bytes PrimacyDecompressor::DecompressRangeImpl(ByteSpan stream,
   Bytes result(static_cast<std::size_t>(count * width));
   DecodeChunkSpan(s, chunk_of(first_element),
                   chunk_of(first_element + count - 1) + 1, first_element,
-                  result, options_, cache_, accounting);
+                  result, options_, cache_.get(), accounting);
   return finish(std::move(result));
 }
 

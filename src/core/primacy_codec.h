@@ -104,9 +104,6 @@ struct PrimacyOptions {
   std::string solver = "deflate";
   Linearization linearization = Linearization::kColumn;
   IndexMode index_mode = IndexMode::kPerChunk;
-  /// Frequency-vector correlation above which kReuseWhenCorrelated keeps the
-  /// previous chunk's index.
-  double index_reuse_correlation = 0.95;
   Precision precision = Precision::kDouble;
   /// Worker threads for chunk-parallel compression and decompression
   /// (0 = hardware concurrency, 1 = serial). Work runs on the process-wide
@@ -227,9 +224,6 @@ struct PrimacyDecodeStats {
   /// no cache is configured.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
-  /// Adjacent-chunk prefetch tasks handed to the shared pool by this call
-  /// (best effort; completion is not awaited).
-  std::size_t prefetch_issued = 0;
   /// Wall time per decode stage, summed across chunks and decode slots (CPU
   /// time under parallel decode). All-zero when PRIMACY_TELEMETRY=OFF.
   telemetry::StageBreakdown stage;
@@ -245,7 +239,6 @@ struct PrimacyDecodeStats {
     chunks_verified += other.chunks_verified;
     cache_hits += other.cache_hits;
     cache_misses += other.cache_misses;
-    prefetch_issued += other.prefetch_issued;
     stage.Accumulate(other.stage);
   }
 };

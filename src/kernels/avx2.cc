@@ -54,39 +54,6 @@ inline void Interleave64(__m256i even, __m256i odd, __m256i& out0,
   out1 = _mm256_permute2x128_si256(lo, hi, 0x31);
 }
 
-void RowToColW2(const std::byte* rows, std::size_t n, std::byte* out) {
-  // Two passes (all evens, then all odds) rather than one combined pass:
-  // each pass runs one load stream against one store stream, which the
-  // hardware prefetchers like much better than one load + two distant
-  // store streams — measured faster despite reading the input twice.
-  // 128-bit registers on purpose: pack stays in-lane, so no cross-lane
-  // permute fix-up is needed, and that fix-up made the 256-bit version
-  // measurably slower than this one.
-  const __m128i mask = _mm_set1_epi16(0x00ff);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i a =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows + 2 * i));
-    const __m128i b =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows + 2 * i + 16));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm_packus_epi16(_mm_and_si128(a, mask),
-                                      _mm_and_si128(b, mask)));
-  }
-  for (; i < n; ++i) out[i] = rows[2 * i];
-  i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i a =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows + 2 * i));
-    const __m128i b =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(rows + 2 * i + 16));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + n + i),
-                     _mm_packus_epi16(_mm_srli_epi16(a, 8),
-                                      _mm_srli_epi16(b, 8)));
-  }
-  for (; i < n; ++i) out[n + i] = rows[2 * i + 1];
-}
-
 void ColToRowW2(const std::byte* cols, std::size_t n, std::byte* out) {
   std::size_t i = 0;
   for (; i + 32 <= n; i += 32) {
@@ -356,8 +323,10 @@ void HistogramStride(const std::byte* p, std::size_t count,
   detail::HistogramStrideUnrolled(p, count, stride_bytes, hist);
 }
 
+// row_to_col_w2 runs the scalar reference: the vector version measured no
+// faster than it (docs/KERNELS.md).
 constexpr KernelTable kAvx2Table = {
-    SplitW8H2,  MergeW8H2,  SplitW4H2,  MergeW4H2,  RowToColW2,
+    SplitW8H2,  MergeW8H2,  SplitW4H2,  MergeW4H2,  scalar::RowToColW<2>,
     ColToRowW2, RowToColW4, ColToRowW4, RowToColW8, ColToRowW8,
     CountPairs, MapIds16,   UnmapIds16, HistogramStride,
 };

@@ -5,6 +5,8 @@
 // store-to-load forwarding stall when consecutive samples hit the same
 // bucket. Four interleaved sub-histograms (8 KiB, L1-resident) break that
 // dependency chain; the 256-entry merge is amortized over the sample count.
+// Internal linkage for the reason given in scalar_impl.h: sse2.cc must never
+// link to the copy avx2.cc built with -mavx2.
 #pragma once
 
 #include <cstddef>
@@ -14,9 +16,10 @@
 
 namespace primacy::kernels::detail {
 
-inline void HistogramStrideUnrolled(const std::byte* p, std::size_t count,
-                                    std::size_t stride_bytes,
-                                    std::uint64_t* hist) {
+static inline void HistogramStrideUnrolled(const std::byte* p,
+                                           std::size_t count,
+                                           std::size_t stride_bytes,
+                                           std::uint64_t* hist) {
   if (count < 64) {  // not worth the 256-entry merge
     scalar::HistogramStride(p, count, stride_bytes, hist);
     return;

@@ -1,8 +1,15 @@
 // Portable scalar kernel implementations. This header is internal to
 // src/kernels: scalar.cc builds the reference table from it, and the SIMD
 // translation units reuse the same functions for their vector-remainder
-// tails, which is what makes every variant byte-identical to the reference
-// at every length by construction.
+// tails and for table entries whose vector version did not pay, which is
+// what makes every variant byte-identical to the reference at every length
+// by construction.
+//
+// Every function has internal linkage (static), so each translation unit
+// runs its own copy built with its own flags. With external linkage the
+// linker would keep one out-of-line copy per function, and that copy could
+// be the one avx2.cc compiled with -mavx2, running AVX2 instructions from
+// the scalar or SSE2 table on a CPU without AVX2.
 #pragma once
 
 #include <cstddef>
@@ -13,32 +20,32 @@
 
 namespace primacy::kernels::scalar {
 
-inline void SplitW8H2(const std::byte* rows, std::size_t n, std::byte* high,
-                      std::byte* low) {
+static inline void SplitW8H2(const std::byte* rows, std::size_t n,
+                             std::byte* high, std::byte* low) {
   for (std::size_t i = 0; i < n; ++i) {
     std::memcpy(high + i * 2, rows + i * 8, 2);
     std::memcpy(low + i * 6, rows + i * 8 + 2, 6);
   }
 }
 
-inline void MergeW8H2(const std::byte* high, const std::byte* low,
-                      std::size_t n, std::byte* rows) {
+static inline void MergeW8H2(const std::byte* high, const std::byte* low,
+                             std::size_t n, std::byte* rows) {
   for (std::size_t i = 0; i < n; ++i) {
     std::memcpy(rows + i * 8, high + i * 2, 2);
     std::memcpy(rows + i * 8 + 2, low + i * 6, 6);
   }
 }
 
-inline void SplitW4H2(const std::byte* rows, std::size_t n, std::byte* high,
-                      std::byte* low) {
+static inline void SplitW4H2(const std::byte* rows, std::size_t n,
+                             std::byte* high, std::byte* low) {
   for (std::size_t i = 0; i < n; ++i) {
     std::memcpy(high + i * 2, rows + i * 4, 2);
     std::memcpy(low + i * 2, rows + i * 4 + 2, 2);
   }
 }
 
-inline void MergeW4H2(const std::byte* high, const std::byte* low,
-                      std::size_t n, std::byte* rows) {
+static inline void MergeW4H2(const std::byte* high, const std::byte* low,
+                             std::size_t n, std::byte* rows) {
   for (std::size_t i = 0; i < n; ++i) {
     std::memcpy(rows + i * 4, high + i * 2, 2);
     std::memcpy(rows + i * 4 + 2, low + i * 2, 2);
@@ -46,7 +53,8 @@ inline void MergeW4H2(const std::byte* high, const std::byte* low,
 }
 
 template <std::size_t W>
-inline void RowToColW(const std::byte* rows, std::size_t n, std::byte* out) {
+static inline void RowToColW(const std::byte* rows, std::size_t n,
+                             std::byte* out) {
   for (std::size_t c = 0; c < W; ++c) {
     std::byte* dst = out + c * n;
     for (std::size_t i = 0; i < n; ++i) dst[i] = rows[i * W + c];
@@ -54,15 +62,16 @@ inline void RowToColW(const std::byte* rows, std::size_t n, std::byte* out) {
 }
 
 template <std::size_t W>
-inline void ColToRowW(const std::byte* cols, std::size_t n, std::byte* out) {
+static inline void ColToRowW(const std::byte* cols, std::size_t n,
+                             std::byte* out) {
   for (std::size_t c = 0; c < W; ++c) {
     const std::byte* src = cols + c * n;
     for (std::size_t i = 0; i < n; ++i) out[i * W + c] = src[i];
   }
 }
 
-inline void CountPairs(const std::byte* pairs, std::size_t n_pairs,
-                       std::uint32_t* counts) {
+static inline void CountPairs(const std::byte* pairs, std::size_t n_pairs,
+                              std::uint32_t* counts) {
   for (std::size_t i = 0; i < n_pairs; ++i) {
     const auto hi = static_cast<std::uint32_t>(pairs[2 * i]);
     const auto lo = static_cast<std::uint32_t>(pairs[2 * i + 1]);
@@ -70,8 +79,8 @@ inline void CountPairs(const std::byte* pairs, std::size_t n_pairs,
   }
 }
 
-inline bool MapIds16(const std::byte* pairs, std::size_t n_pairs,
-                     const std::uint32_t* ids, std::byte* out) {
+static inline bool MapIds16(const std::byte* pairs, std::size_t n_pairs,
+                            const std::uint32_t* ids, std::byte* out) {
   for (std::size_t i = 0; i < n_pairs; ++i) {
     const auto sequence = (static_cast<std::uint32_t>(pairs[2 * i]) << 8) |
                           static_cast<std::uint32_t>(pairs[2 * i + 1]);
@@ -83,9 +92,9 @@ inline bool MapIds16(const std::byte* pairs, std::size_t n_pairs,
   return true;
 }
 
-inline bool UnmapIds16(const std::byte* ids_bytes, std::size_t n_pairs,
-                       const std::uint32_t* sequences,
-                       std::uint32_t table_size, std::byte* out) {
+static inline bool UnmapIds16(const std::byte* ids_bytes, std::size_t n_pairs,
+                              const std::uint32_t* sequences,
+                              std::uint32_t table_size, std::byte* out) {
   for (std::size_t i = 0; i < n_pairs; ++i) {
     const auto id = (static_cast<std::uint32_t>(ids_bytes[2 * i]) << 8) |
                     static_cast<std::uint32_t>(ids_bytes[2 * i + 1]);
@@ -97,8 +106,9 @@ inline bool UnmapIds16(const std::byte* ids_bytes, std::size_t n_pairs,
   return true;
 }
 
-inline void HistogramStride(const std::byte* p, std::size_t count,
-                            std::size_t stride_bytes, std::uint64_t* hist) {
+static inline void HistogramStride(const std::byte* p, std::size_t count,
+                                   std::size_t stride_bytes,
+                                   std::uint64_t* hist) {
   for (std::size_t k = 0; k < count; ++k) {
     ++hist[static_cast<std::size_t>(p[k * stride_bytes])];
   }

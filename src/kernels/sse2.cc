@@ -46,28 +46,6 @@ inline void Interleave32(__m128i even, __m128i odd, __m128i& out0,
   out1 = _mm_unpackhi_epi8(even, odd);
 }
 
-void RowToColW2(const std::byte* rows, std::size_t n, std::byte* out) {
-  // Two passes for the same prefetch-friendliness reason as the AVX2
-  // version: one load stream against one store stream per pass.
-  const __m128i mask = _mm_set1_epi16(0x00ff);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i a = Load(rows + 2 * i);
-    const __m128i b = Load(rows + 2 * i + 16);
-    Store(out + i, _mm_packus_epi16(_mm_and_si128(a, mask),
-                                    _mm_and_si128(b, mask)));
-  }
-  for (; i < n; ++i) out[i] = rows[2 * i];
-  i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i a = Load(rows + 2 * i);
-    const __m128i b = Load(rows + 2 * i + 16);
-    Store(out + n + i, _mm_packus_epi16(_mm_srli_epi16(a, 8),
-                                        _mm_srli_epi16(b, 8)));
-  }
-  for (; i < n; ++i) out[n + i] = rows[2 * i + 1];
-}
-
 void ColToRowW2(const std::byte* cols, std::size_t n, std::byte* out) {
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
@@ -269,61 +247,19 @@ void CountPairs(const std::byte* pairs, std::size_t n_pairs,
   scalar::CountPairs(pairs + 2 * i, n_pairs - i, counts);
 }
 
-bool MapIds16(const std::byte* pairs, std::size_t n_pairs,
-              const std::uint32_t* ids, std::byte* out) {
-  // SSE2 has no gather; a 4-way unrolled scalar loop keeps four lookups in
-  // flight, which is the practical win on this table-bound kernel.
-  std::size_t i = 0;
-  for (; i + 4 <= n_pairs; i += 4) {
-    std::uint32_t id[4];
-    bool ok = true;
-    for (std::size_t k = 0; k < 4; ++k) {
-      const auto seq =
-          (static_cast<std::uint32_t>(pairs[2 * (i + k)]) << 8) |
-          static_cast<std::uint32_t>(pairs[2 * (i + k) + 1]);
-      id[k] = ids[seq];
-      ok = ok && id[k] != kUnmapped16;
-    }
-    if (!ok) return false;
-    for (std::size_t k = 0; k < 4; ++k) {
-      out[2 * (i + k)] = static_cast<std::byte>(id[k] >> 8);
-      out[2 * (i + k) + 1] = static_cast<std::byte>(id[k] & 0xff);
-    }
-  }
-  return scalar::MapIds16(pairs + 2 * i, n_pairs - i, ids, out + 2 * i);
-}
-
-bool UnmapIds16(const std::byte* ids_bytes, std::size_t n_pairs,
-                const std::uint32_t* sequences, std::uint32_t table_size,
-                std::byte* out) {
-  std::size_t i = 0;
-  for (; i + 4 <= n_pairs; i += 4) {
-    std::uint32_t seq[4];
-    for (std::size_t k = 0; k < 4; ++k) {
-      const auto id =
-          (static_cast<std::uint32_t>(ids_bytes[2 * (i + k)]) << 8) |
-          static_cast<std::uint32_t>(ids_bytes[2 * (i + k) + 1]);
-      if (id >= table_size) return false;
-      seq[k] = sequences[id];
-    }
-    for (std::size_t k = 0; k < 4; ++k) {
-      out[2 * (i + k)] = static_cast<std::byte>(seq[k] >> 8);
-      out[2 * (i + k) + 1] = static_cast<std::byte>(seq[k] & 0xff);
-    }
-  }
-  return scalar::UnmapIds16(ids_bytes + 2 * i, n_pairs - i, sequences,
-                            table_size, out + 2 * i);
-}
-
 void HistogramStride(const std::byte* p, std::size_t count,
                      std::size_t stride_bytes, std::uint64_t* hist) {
   detail::HistogramStrideUnrolled(p, count, stride_bytes, hist);
 }
 
+// row_to_col_w2, map_ids16 and unmap_ids16 run the scalar reference: the
+// SSE2 versions measured no faster than it (docs/KERNELS.md).
 constexpr KernelTable kSse2Table = {
-    SplitW8H2,  MergeW8H2,  SplitW4H2,  MergeW4H2,  RowToColW2,
-    ColToRowW2, RowToColW4, ColToRowW4, RowToColW8, ColToRowW8,
-    CountPairs, MapIds16,   UnmapIds16, HistogramStride,
+    SplitW8H2,          MergeW8H2,            SplitW4H2,
+    MergeW4H2,          scalar::RowToColW<2>, ColToRowW2,
+    RowToColW4,         ColToRowW4,           RowToColW8,
+    ColToRowW8,         CountPairs,           scalar::MapIds16,
+    scalar::UnmapIds16, HistogramStride,
 };
 
 }  // namespace

@@ -50,12 +50,33 @@ std::size_t MatchLength(const std::byte* a, const std::byte* b,
   return len;
 }
 
+/// The match finder's hash tables (head: kHashSize, prev: kLzWindowSize),
+/// kept per thread and reused across LzParse calls so a call allocates and
+/// page-faults nothing.
+struct MatchTables {
+  std::vector<std::uint32_t> head = std::vector<std::uint32_t>(kHashSize);
+  std::vector<std::uint32_t> prev = std::vector<std::uint32_t>(kLzWindowSize);
+};
+
+MatchTables& ThreadTables() {
+  thread_local MatchTables tables;
+  return tables;
+}
+
 /// Hash-chain dictionary over the sliding window.
 class MatchFinder {
  public:
-  // prev_ is indexed by pos & (kLzWindowSize - 1); fixed power-of-two size.
+  /// Takes this thread's tables and empties the dictionary by resetting only
+  /// head_. prev_ keeps whatever an earlier call left: every prev_ slot a
+  /// chain reads is prev_[cpos & (kLzWindowSize - 1)] for a candidate cpos
+  /// that was reached through head_ or prev_ and so was inserted in this
+  /// call, and inserting cpos wrote that slot. A stale slot is never read.
   explicit MatchFinder(ByteSpan data)
-      : data_(data), head_(kHashSize, kNoPos), prev_(kLzWindowSize, kNoPos) {}
+      : data_(data),
+        head_(ThreadTables().head.data()),
+        prev_(ThreadTables().prev.data()) {
+    std::fill_n(head_, kHashSize, kNoPos);
+  }
 
   /// Inserts position `pos` into the dictionary.
   void Insert(std::size_t pos) {
@@ -124,8 +145,9 @@ class MatchFinder {
 
  private:
   ByteSpan data_;
-  std::vector<std::uint32_t> head_;
-  std::vector<std::uint32_t> prev_;
+  std::uint32_t* head_;
+  // Indexed by pos & (kLzWindowSize - 1); fixed power-of-two size.
+  std::uint32_t* prev_;
 };
 
 }  // namespace

@@ -5,8 +5,7 @@
 //   primacy::Bytes stream = compressor.Compress(my_doubles);
 //
 // Layered contents:
-//   core preconditioner  — core/primacy_codec.h, core/streaming.h,
-//                          core/in_situ.h
+//   core preconditioner  — core/primacy_codec.h, core/streaming.h
 //   read-path cache      — cache/block_cache.h
 //   solver codecs        — deflate/, lzfast/, bwt/ (byte-level classes) and
 //                          fpc/, fpzip_like/ (predictive comparators),
@@ -20,7 +19,6 @@
 #include "compress/frame.h"        // IWYU pragma: export
 #include "compress/registry.h"     // IWYU pragma: export
 #include "core/builtin_codecs.h"   // IWYU pragma: export
-#include "core/in_situ.h"          // IWYU pragma: export
 #include "core/primacy_codec.h"    // IWYU pragma: export
 #include "core/streaming.h"        // IWYU pragma: export
 #include "datasets/datasets.h"     // IWYU pragma: export

@@ -20,6 +20,11 @@ namespace primacy::service {
 
 namespace {
 
+/// Shards per tenant cache partition.
+constexpr std::size_t kTenantCacheShards = 4;
+/// Newest slow-request events retained for SlowRequests()/StatusJson().
+constexpr std::size_t kSlowRequestLogCapacity = 64;
+
 /// Retry hint for in-flight rejections: there is no refill schedule to
 /// compute from (capacity frees when some request completes), so the hint
 /// is one batch timeout — the horizon at which queued work must have been
@@ -286,7 +291,7 @@ void CompressionService::AddTenant(const TenantConfig& config) {
     CacheOptions cache_options;
     cache_options.enabled = true;
     cache_options.capacity_bytes = partition_bytes;
-    cache_options.shard_count = options_.cache_shards;
+    cache_options.shard_count = kTenantCacheShards;
     tenant->cache = MakeBlockCache(cache_options);
   }
   auto& registry = telemetry::MetricsRegistry::Global();
@@ -642,7 +647,7 @@ std::future<ServiceResponse> CompressionService::Submit(
         event.queue_depth = queue_depth;
         event.tenant_inflight = tenant.inflight;
         slow_requests_.push_back(std::move(event));
-        while (slow_requests_.size() > options_.slow_request_log_capacity) {
+        while (slow_requests_.size() > kSlowRequestLogCapacity) {
           slow_requests_.pop_front();
         }
       }
@@ -741,18 +746,15 @@ void CompressionService::ExecuteBatch(BatchQueue::Batch& batch) {
     ReturnContext(context);
     return;
   }
-  const std::size_t width = SharedThreadPool().num_threads() + 1;
-  const std::size_t max_slots = options_.max_batch_parallelism == 0
-                                    ? width
-                                    : options_.max_batch_parallelism;
-  // Items execute in parallel across slots; each slot checks out one
-  // context lazily and reuses it for every item it claims, so a batch costs
-  // at most `slots` checkouts no matter how many requests it carries.
-  std::vector<CodecContext*> slot_contexts(std::min(count, max_slots),
-                                           nullptr);
+  // Items execute in parallel across the whole shared pool (max_slots 0);
+  // each slot checks out one context lazily and reuses it for every item
+  // it claims, so a batch costs at most one checkout per slot no matter how
+  // many requests it carries.
+  std::vector<CodecContext*> slot_contexts(
+      SharedThreadPool().SlotCount(count, 0), nullptr);
   try {
     SharedThreadPool().ParallelForSlots(
-        count, max_slots, [&](std::size_t slot, std::size_t i) {
+        count, 0, [&](std::size_t slot, std::size_t i) {
           if (slot_contexts[slot] == nullptr) {
             slot_contexts[slot] = CheckOutContext();
           }

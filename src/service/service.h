@@ -82,15 +82,9 @@ struct ServiceOptions {
   /// serial path is what the reusable worker contexts accelerate.
   PrimacyOptions codec;
   BatchOptions batch;
-  /// Concurrent codec slots one batch may use (0 = shared-pool width).
-  /// Items within a batch execute in parallel across slots; each slot reuses
-  /// one checked-out worker context for every item it claims.
-  std::size_t max_batch_parallelism = 0;
   /// Total decoded-block cache budget partitioned across tenants by their
   /// cache_share (0 = no tenant caches).
   std::size_t cache_capacity_bytes = 0;
-  /// Shards per tenant cache partition.
-  std::size_t cache_shards = 4;
   /// Time source; null = the process-wide SystemServiceClock. Not owned;
   /// must outlive the service.
   ServiceClock* clock = nullptr;
@@ -98,8 +92,6 @@ struct ServiceOptions {
   /// exceeds this is recorded in the slow-request log and counted in
   /// primacy_slow_requests_total. 0 disables the watchdog.
   std::uint64_t slow_request_slo_ns = 0;
-  /// Newest slow-request events retained for SlowRequests()/StatusJson().
-  std::size_t slow_request_log_capacity = 64;
 };
 
 /// One watchdog capture: the context of a request that blew through the
@@ -180,8 +172,8 @@ class CompressionService {
   ServiceStatsSnapshot Stats() const;
   TenantStatsSnapshot TenantStats(std::string_view tenant) const;
 
-  /// The watchdog's bounded slow-request log, oldest first (empty unless
-  /// ServiceOptions::slow_request_slo_ns is set).
+  /// The watchdog's slow-request log, the newest 64 events oldest first
+  /// (empty unless ServiceOptions::slow_request_slo_ns is set).
   std::vector<SlowRequestEvent> SlowRequests() const;
 
   /// Point-in-time service state as a JSON object (per-tenant quota /
@@ -231,7 +223,7 @@ class CompressionService {
   std::unordered_map<std::string, std::unique_ptr<internal::Tenant>> tenants_
       PRIMACY_GUARDED_BY(mu_);
   ServiceStatsSnapshot stats_ PRIMACY_GUARDED_BY(mu_);
-  /// Watchdog log, newest at the back, capped at slow_request_log_capacity.
+  /// Watchdog log, newest at the back, capped at 64 events.
   std::deque<SlowRequestEvent> slow_requests_ PRIMACY_GUARDED_BY(mu_);
   std::size_t outstanding_batches_ PRIMACY_GUARDED_BY(mu_) = 0;
   /// Threads currently inside Submit (blocked or resolving). The destructor

@@ -18,6 +18,9 @@ namespace {
 constexpr std::array<double, 9> kLatencySecondsBounds = {
     0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0};
 
+/// Retry hint returned with kTooManyConnections rejections.
+constexpr std::uint64_t kRejectRetryAfterNs = 50'000'000ull;  // 50 ms
+
 std::string OpLabel(Op op) {
   return std::string("op=\"") + OpName(op) + "\"";
 }
@@ -146,7 +149,7 @@ void TransportServer::AcceptLoop() {
           .Increment();
       ErrorFrame reject;
       reject.status = WireStatus::kTooManyConnections;
-      reject.retry_after_ns = options_.reject_retry_after_ns;
+      reject.retry_after_ns = kRejectRetryAfterNs;
       reject.message = "connection limit (" +
                        std::to_string(options_.max_connections) + ") reached";
       // Best-effort courtesy reply; the close is the real answer.

@@ -55,7 +55,7 @@ struct TransportServerOptions {
   /// on Shutdown). Must fit in sockaddr_un (~107 bytes).
   std::string socket_path;
   /// Concurrent connection cap; excess connections are refused with a
-  /// kTooManyConnections error frame carrying `reject_retry_after_ns`.
+  /// kTooManyConnections error frame carrying a 50 ms retry hint.
   std::size_t max_connections = 64;
   /// Queued-but-unwritten replies per connection before the reader pauses.
   std::size_t max_pipelined_requests = 128;
@@ -64,8 +64,6 @@ struct TransportServerOptions {
   std::uint64_t frame_read_deadline_ns = 30'000'000'000ull;
   /// Budget for writing one reply frame. kNoDeadlineNs disables.
   std::uint64_t write_deadline_ns = 30'000'000'000ull;
-  /// Hint returned with kTooManyConnections rejections.
-  std::uint64_t reject_retry_after_ns = 50'000'000ull;
   /// Time source for deadlines; null uses the service's clock (and the
   /// system clock if the service also defaulted).
   service::ServiceClock* clock = nullptr;

@@ -58,11 +58,11 @@ TEST(BlockCacheTest, LruEvictionDropsLeastRecentlyUsed) {
   EXPECT_TRUE(cache.Lookup(1, 0));
   ASSERT_TRUE(cache.Insert(1, 4, Filled(256, 4)));
 
-  EXPECT_TRUE(cache.Contains(1, 0));
-  EXPECT_FALSE(cache.Contains(1, 1));  // evicted as least recently used
-  EXPECT_TRUE(cache.Contains(1, 2));
-  EXPECT_TRUE(cache.Contains(1, 3));
-  EXPECT_TRUE(cache.Contains(1, 4));
+  EXPECT_TRUE(cache.Lookup(1, 0));
+  EXPECT_FALSE(cache.Lookup(1, 1));  // evicted as least recently used
+  EXPECT_TRUE(cache.Lookup(1, 2));
+  EXPECT_TRUE(cache.Lookup(1, 3));
+  EXPECT_TRUE(cache.Lookup(1, 4));
   const CacheStatsSnapshot stats = cache.Stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 4u);
@@ -142,8 +142,8 @@ TEST(BlockCacheTest, PinnedEntriesDeferEviction) {
   // unpinned neighbors) but never the still-pinned one.
   pin0 = DecodedBlockCache::Handle();
   ASSERT_TRUE(cache.Insert(1, 3, Filled(256, 3)));
-  EXPECT_TRUE(cache.Contains(1, 1));
-  EXPECT_FALSE(cache.Contains(1, 0));
+  EXPECT_TRUE(cache.Lookup(1, 1));
+  EXPECT_FALSE(cache.Lookup(1, 0));
   EXPECT_EQ(pin1.data()[0], static_cast<std::byte>(1));
   stats = cache.Stats();
   EXPECT_GE(stats.evictions, 1u);
@@ -156,8 +156,8 @@ TEST(BlockCacheTest, ClearDropsUnpinnedKeepsPinned) {
   const auto pinned = cache.Lookup(1, 0);
   ASSERT_TRUE(pinned);
   cache.Clear();
-  EXPECT_TRUE(cache.Contains(1, 0));
-  EXPECT_FALSE(cache.Contains(1, 1));
+  EXPECT_TRUE(cache.Lookup(1, 0));
+  EXPECT_FALSE(cache.Lookup(1, 1));
   EXPECT_EQ(pinned.data().size(), 100u);
   EXPECT_EQ(cache.Stats().entries, 1u);
 }

@@ -1,12 +1,10 @@
 // Decoded-block cache wired through the decode paths: warm range reads skip
 // chunk decodes, cache-off stays byte-identical, an explicit cache instance
-// is shared across decompressors, index-chain streams stay correct when
-// cache hits punch gaps into the chain, and adjacent-chunk prefetch lands.
+// is shared across decompressors, and index-chain streams stay correct when
+// cache hits punch gaps into the chain.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstddef>
-#include <thread>
 #include <vector>
 
 #include "core/primacy_codec.h"
@@ -26,12 +24,11 @@ PrimacyOptions SmallChunks() {
   return options;
 }
 
-PrimacyOptions Cached(std::size_t prefetch_chunks = 0) {
+PrimacyOptions Cached() {
   PrimacyOptions options = SmallChunks();
   options.cache.enabled = true;
   options.cache.capacity_bytes = 16 * 1024 * 1024;
   options.cache.shard_count = 1;  // deterministic byte accounting
-  options.cache.prefetch_chunks = prefetch_chunks;
   return options;
 }
 
@@ -94,7 +91,6 @@ TEST_F(CacheDecodeTest, CacheOffIsByteIdenticalWithZeroCacheStats) {
     const auto expected = uncached.DecompressRange(stream_, first, count, &plain);
     EXPECT_EQ(plain.cache_hits, 0u);
     EXPECT_EQ(plain.cache_misses, 0u);
-    EXPECT_EQ(plain.prefetch_issued, 0u);
     EXPECT_EQ(cached.DecompressRange(stream_, first, count), expected)
         << "first=" << first << " count=" << count;
   }
@@ -228,34 +224,6 @@ TEST_F(CacheDecodeTest, IndexChainStreamsStayCorrectAcrossCacheHitGaps) {
   }
   // And the fully-warm stream still decodes end to end.
   EXPECT_EQ(cached.Decompress(stream), chained);
-}
-
-TEST_F(CacheDecodeTest, PrefetchFillsAdjacentChunks) {
-  const PrimacyDecompressor decompressor(Cached(/*prefetch_chunks=*/2));
-  ASSERT_NE(decompressor.cache(), nullptr);
-
-  PrimacyDecodeStats cold;
-  decompressor.DecompressRange(stream_, 0, 100, &cold);
-  EXPECT_EQ(cold.cache_misses, 1u);
-  EXPECT_EQ(cold.prefetch_issued, 2u);  // chunks 1 and 2
-
-  // Prefetch is best effort on the shared pool; poll its landing.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (decompressor.cache()->Stats().insertions < 3 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_EQ(decompressor.cache()->Stats().insertions, 3u)
-      << "prefetch tasks did not land";
-
-  PrimacyDecodeStats warm;
-  const auto range = decompressor.DecompressRange(
-      stream_, kChunkElements + 3, kChunkElements, &warm);
-  EXPECT_EQ(range, Slice(values_, kChunkElements + 3, kChunkElements));
-  EXPECT_EQ(warm.cache_hits, 2u);  // prefetched chunks 1 and 2
-  EXPECT_EQ(warm.chunks_decoded, 0u);
-  EXPECT_EQ(warm.prefetch_issued, 2u);  // chunks 3 and 4 queue next
 }
 
 }  // namespace

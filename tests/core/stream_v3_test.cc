@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "bitstream/byte_io.h"
-#include "core/in_situ.h"
 #include "core/primacy_codec.h"
 #include "core/stream_format.h"
 #include "core/streaming.h"
@@ -357,17 +356,18 @@ TEST(StreamV3Test, StreamedStreamsServeCacheAndParallelDecode) {
   EXPECT_GT(warm.cache_hits, 0u);
 }
 
-TEST(StreamV3Test, InSituRoundTripAggregatesVerifiedChunks) {
+TEST(StreamV3Test, ParallelFullDecodeAggregatesVerifiedChunks) {
   const auto values = GenerateDatasetByName("obs_temp", 50000);
-  InSituOptions options;
-  options.primacy.chunk_bytes = 64 * 1024;
-  options.shard_elements = 16384;  // 2 chunks per shard, 4 shards
-  const InSituResult compressed = InSituCompress(values, options);
-  const InSituDecodeResult decoded =
-      InSituDecompressWithStats(compressed.shards, options);
-  EXPECT_EQ(decoded.values, values);
-  EXPECT_EQ(decoded.totals.chunks_verified, decoded.totals.chunks_decoded);
-  EXPECT_GT(decoded.totals.chunks_verified, 0u);
+  PrimacyOptions options = SmallChunks();
+  options.threads = 4;
+  const Bytes stream = PrimacyCompressor(options).Compress(values);
+  const PrimacyDecompressor decompressor(options);
+  PrimacyDecodeStats stats;
+  EXPECT_EQ(decompressor.Decompress(stream, &stats), values);
+  // Per-group counters fold into the call's stats after the parallel decode.
+  EXPECT_GT(stats.threads_used, 1u);
+  EXPECT_EQ(stats.chunks_verified, stats.chunks_decoded);
+  EXPECT_GT(stats.chunks_verified, 0u);
 }
 
 TEST(StreamV3Test, VerifyStreamReportsHealthWithoutThrowing) {

@@ -1,15 +1,19 @@
 // libFuzzer entry point for every PRIMACY decode surface. Build with
 // -DPRIMACY_FUZZ=ON (clang only) and run:
 //
-//   ./build/fuzz/fuzz_decoder fuzz-corpus tests/golden/data -max_total_time=30
+//   ./build/fuzz/fuzz_decoder fuzz-corpus tests/golden/data \
+//       tests/fuzz/wire_seeds -max_total_time=30
 //
 // The golden corpus doubles as the seed corpus: valid v1/v2/v3 (one-shot
 // and streamed), stored, and checkpoint bytes give the fuzzer real
-// structure to mutate. The contract
+// structure to mutate, and tests/fuzz/wire_seeds holds the four pinned
+// protocol-v1 frames (request, ping, response, error) from
+// tests/transport/wire_test.cc for the wire-frame decoder. The contract
 // mirrors the CTest corruption harness: typed decode errors
-// (CorruptStreamError/InvalidArgumentError) and allocation failures are
-// expected outcomes; any other escape — crash, hang, sanitizer report,
-// uncaught exception type — is a finding.
+// (CorruptStreamError/InvalidArgumentError; the wire's WireFormatError is a
+// CorruptStreamError) and allocation failures are expected outcomes; any
+// other escape — crash, hang, sanitizer report, uncaught exception type —
+// is a finding.
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -18,6 +22,7 @@
 #include "core/primacy_codec.h"
 #include "core/streaming.h"
 #include "store/checkpoint_store.h"
+#include "transport/wire.h"
 #include "util/bytes.h"
 #include "util/error.h"
 
@@ -58,6 +63,7 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       sink.clear();  // bound memory: structure, not content, is under test
     }
   });
+  Expecting([&] { transport::DecodeFrame(stream); });
   Expecting([&] {
     const CheckpointReader reader(stream);
     reader.ReadAllRaw();

@@ -6,8 +6,6 @@
 // implementation, synthetic data); the *direction* of every claim must hold.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <utility>
 #include <vector>
 
 #include "compress/codec.h"
@@ -63,39 +61,6 @@ TEST(TableThreeClaims, PrimacyBeatsSolverRatioOnAlmostAllDatasets) {
   // Paper: 19 of 20 (msg_sppm is the exception).
   EXPECT_GE(wins, 16) << "PRIMACY should out-compress the vanilla solver on "
                          "nearly every dataset";
-}
-
-double Median(std::vector<double> seconds) {
-  const auto mid =
-      seconds.begin() + static_cast<std::ptrdiff_t>(seconds.size() / 2);
-  std::nth_element(seconds.begin(), mid, seconds.end());
-  return *mid;
-}
-
-/// Median compress and decompress times of `rounds` interleaved measurements
-/// of `a` and `b` (alternating which goes first), so a burst of host load
-/// hits both codecs alike instead of deciding the comparison.
-std::pair<CodecMeasurement, CodecMeasurement> MedianInterleaved(
-    const Codec& a, const Codec& b, ByteSpan raw, std::size_t rounds) {
-  std::vector<CodecMeasurement> runs[2];
-  for (std::size_t r = 0; r < rounds; ++r) {
-    const std::size_t first = r % 2;
-    runs[first].push_back(MeasureCodec(first == 0 ? a : b, raw));
-    runs[1 - first].push_back(MeasureCodec(first == 0 ? b : a, raw));
-  }
-  CodecMeasurement medians[2];
-  for (std::size_t i = 0; i < 2; ++i) {
-    std::vector<double> compress;
-    std::vector<double> decompress;
-    for (const CodecMeasurement& run : runs[i]) {
-      compress.push_back(run.compress_seconds);
-      decompress.push_back(run.decompress_seconds);
-    }
-    medians[i] = runs[i].front();
-    medians[i].compress_seconds = Median(compress);
-    medians[i].decompress_seconds = Median(decompress);
-  }
-  return {medians[0], medians[1]};
 }
 
 TEST(TableThreeClaims, PrimacyCompressesFasterOnHardDatasets) {

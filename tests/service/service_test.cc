@@ -498,7 +498,6 @@ TEST(ServiceTest, SlowRequestWatchdogCapturesSloBreaches) {
   options.batch = ManualFlushBatching();
   options.clock = &clock;
   options.slow_request_slo_ns = 1000;
-  options.slow_request_log_capacity = 2;
   CompressionService service(options);
   service.AddTenant({.name = "alpha"});
 
@@ -523,25 +522,30 @@ TEST(ServiceTest, SlowRequestWatchdogCapturesSloBreaches) {
   ASSERT_TRUE(fast.get().ok());
   EXPECT_EQ(service.SlowRequests().size(), 1u);
 
-  // The log is bounded: three more breaches, capacity two, newest win.
-  for (int i = 0; i < 3; ++i) {
-    auto breach = service.SubmitDecompress("alpha", MakePayload(8));
+  // The log keeps the newest 64 events: 65 more breaches, each with its own
+  // payload size, push out the compress event and the first decompress.
+  constexpr std::size_t kLogCapacity = 64;
+  constexpr std::size_t kBreaches = kLogCapacity + 1;
+  for (std::size_t i = 0; i < kBreaches; ++i) {
+    auto breach = service.SubmitDecompress("alpha", MakePayload(8 + i));
     clock.Advance(2000);
     service.Flush();
     EXPECT_FALSE(breach.get().ok());  // raw doubles are not a stream
   }
   events = service.SlowRequests();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].type, "decompress");
-  EXPECT_EQ(events[1].type, "decompress");
-  EXPECT_EQ(events[1].status, ServiceStatus::kError);
+  ASSERT_EQ(events.size(), kLogCapacity);
+  for (std::size_t k = 0; k < kLogCapacity; ++k) {
+    EXPECT_EQ(events[k].type, "decompress") << k;
+    EXPECT_EQ(events[k].status, ServiceStatus::kError) << k;
+    EXPECT_EQ(events[k].bytes, (8 + 1 + k) * sizeof(double)) << k;
+  }
 
 #if PRIMACY_TELEMETRY_ENABLED
   EXPECT_EQ(telemetry::MetricsRegistry::Global()
                 .GetCounter("primacy_slow_requests_total",
                             "tenant=\"alpha\"")
                 .Value(),
-            4u);
+            1 + kBreaches);
 #endif
 }
 

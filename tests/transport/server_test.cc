@@ -337,7 +337,6 @@ TEST(TransportServerViolation, CorruptFrameAnsweredWithBadFrameThenClose) {
 TEST(TransportServerLimit, ExcessConnectionRefusedWithRetryAfter) {
   TransportServerOptions options;
   options.max_connections = 1;
-  options.reject_retry_after_ns = 77'000'000ull;
   ServerFixture fx(options);
 
   RawConnection first(fx.socket_path());
@@ -351,7 +350,7 @@ TEST(TransportServerLimit, ExcessConnectionRefusedWithRetryAfter) {
   const DecodedFrame decoded = DecodeFrame(ByteSpan(refusal));
   ASSERT_EQ(decoded.kind, FrameKind::kError);
   EXPECT_EQ(decoded.error.status, WireStatus::kTooManyConnections);
-  EXPECT_EQ(decoded.error.retry_after_ns, 77'000'000ull);
+  EXPECT_EQ(decoded.error.retry_after_ns, 50'000'000ull);  // 50 ms
   Bytes next;
   EXPECT_EQ(second.Recv(&next), IoStatus::kEof);
 
