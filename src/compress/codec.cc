@@ -18,6 +18,15 @@ double Median(std::vector<double> seconds) {
 
 }  // namespace
 
+void Codec::DecompressInto(ByteSpan data, MutableByteSpan out) const {
+  const Bytes decoded = Decompress(data);
+  if (decoded.size() != out.size()) {
+    throw CorruptStreamError(std::string(name()) +
+                             ": decompressed size mismatch");
+  }
+  std::copy(decoded.begin(), decoded.end(), out.begin());
+}
+
 double CodecMeasurement::CompressionRatio() const {
   if (compressed_bytes == 0) return 0.0;
   return static_cast<double>(original_bytes) /

@@ -30,6 +30,11 @@ class Codec {
 
   /// Exact inverse of Compress.
   virtual Bytes Decompress(ByteSpan data) const = 0;
+
+  /// Exact inverse of Compress into caller memory: `out` must be exactly
+  /// the original size, else CorruptStreamError. The default decompresses
+  /// and copies; codecs that can write in place override it.
+  virtual void DecompressInto(ByteSpan data, MutableByteSpan out) const;
 };
 
 /// Measured single-shot codec performance; feeds the Section III model

@@ -1,6 +1,5 @@
 #include "core/chunk_pipeline.h"
 
-#include <bit>
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -327,49 +326,46 @@ void ChunkDecoder::DecodeChunkInto(ByteReader& reader, std::uint64_t count,
   // charged to the frequency stage (its encode-side dual).
   clock.Lap(laps, telemetry::Stage::kFrequency);
   profile.Switch(telemetry::Stage::kSolver);
-  const Bytes id_bytes = solver_.Decompress(reader.GetBlock());
+  // The ID plane and the solved mantissa columns decode into scratch this
+  // decoder reuses across chunks; `count` is checked against out.size()
+  // above, so these sizes are bounded by the caller's buffer.
+  const std::size_t n = static_cast<std::size_t>(count);
+  ids_.resize(n * kHighWidth);
+  solver_.DecompressInto(reader.GetBlock(), ids_);
   clock.Lap(laps, telemetry::Stage::kSolver);
-  if (id_bytes.size() != count * kHighWidth) {
-    throw CorruptStreamError("primacy: ID byte count mismatch");
-  }
   profile.Switch(telemetry::Stage::kIdMap);
-  const Bytes high = MapFromIds(id_bytes, *index_, linearization_);
+  const Bytes high = MapFromIds(ids_, *index_, linearization_);
   clock.Lap(laps, telemetry::Stage::kIdMap);
   profile.Switch(telemetry::Stage::kIsobar);
-  const Bytes low = IsobarDecompress(reader.GetBlock(), solver_);
+  const IsobarColumns low = IsobarDecodeColumns(
+      reader.GetBlock(), solver_, n, width_ - kHighWidth, columns_);
   clock.Lap(laps, telemetry::Stage::kIsobar);
   profile.Switch(telemetry::Stage::kMerge);
-  const std::size_t low_width = width_ - kHighWidth;
-  if (low.size() != count * low_width) {
-    throw CorruptStreamError("primacy: mantissa byte count mismatch");
-  }
-  // Fused high/low merge + big-endian-rows -> native conversion, writing
-  // each element once. The old path materialized the merged row matrix, a
-  // native value vector, and a byte copy of it before appending — three
-  // full-size temporaries per chunk that this loop eliminates.
-  const std::size_t n = static_cast<std::size_t>(count);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::byte* hi = high.data() + i * kHighWidth;
-    const std::byte* lo = low.data() + i * low_width;
-    std::byte* dst = out.data() + i * width_;
-    if (width_ == 8) {
-      std::uint64_t bits = 0;
-      bits = (bits << 8) | static_cast<std::uint64_t>(hi[0]);
-      bits = (bits << 8) | static_cast<std::uint64_t>(hi[1]);
-      for (std::size_t b = 0; b < 6; ++b) {
-        bits = (bits << 8) | static_cast<std::uint64_t>(lo[b]);
-      }
-      const double value = std::bit_cast<double>(bits);
-      std::memcpy(dst, &value, 8);
-    } else {
-      std::uint32_t bits = 0;
-      bits = (bits << 8) | static_cast<std::uint32_t>(hi[0]);
-      bits = (bits << 8) | static_cast<std::uint32_t>(hi[1]);
-      for (std::size_t b = 0; b < low_width; ++b) {
-        bits = (bits << 8) | static_cast<std::uint32_t>(lo[b]);
-      }
-      const float value = std::bit_cast<float>(bits);
-      std::memcpy(dst, &value, 4);
+  // Fused merge: each native element is assembled once from its two high
+  // bytes and one byte of each mantissa column (big-endian order), with no
+  // row matrix in between.
+  const std::byte* hi = high.data();
+  std::byte* dst = out.data();
+  const auto byte = [](const std::byte* column, std::size_t i,
+                       unsigned shift) {
+    return static_cast<std::uint64_t>(column[i]) << shift;
+  };
+  if (width_ == 8) {
+    const auto& c = low.column;
+    for (std::size_t i = 0; i < n; ++i, hi += kHighWidth, dst += 8) {
+      const std::uint64_t bits =
+          byte(hi, 0, 56) | byte(hi, 1, 48) | byte(c[0], i, 40) |
+          byte(c[1], i, 32) | byte(c[2], i, 24) | byte(c[3], i, 16) |
+          byte(c[4], i, 8) | byte(c[5], i, 0);
+      std::memcpy(dst, &bits, 8);
+    }
+  } else {
+    const auto& c = low.column;
+    for (std::size_t i = 0; i < n; ++i, hi += kHighWidth, dst += 4) {
+      const auto bits = static_cast<std::uint32_t>(
+          byte(hi, 0, 24) | byte(hi, 1, 16) | byte(c[0], i, 8) |
+          byte(c[1], i, 0));
+      std::memcpy(dst, &bits, 4);
     }
   }
   clock.Lap(laps, telemetry::Stage::kMerge);

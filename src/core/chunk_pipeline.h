@@ -113,6 +113,10 @@ class ChunkDecoder {
   std::size_t width_;
   std::optional<IdIndex> index_;
   telemetry::StageBreakdown stage_;
+  // Per-chunk decode scratch, reused across chunks: the ID plane and the
+  // solved mantissa columns.
+  Bytes ids_;
+  Bytes columns_;
 };
 
 }  // namespace primacy

@@ -11,6 +11,11 @@
 //              block(serialized litlen code lengths),
 //              block(serialized distance code lengths),
 //              block(bit-packed token stream)
+//
+// The decoder is table-driven (zlib inflate_fast / libdeflate layout): one
+// packed lookup per literal/length and per distance, a 64-bit bit buffer
+// refilled once per token, and word-wise match copies into caller memory.
+// The format above is the same one the symbol-at-a-time decoder read.
 #pragma once
 
 #include "compress/codec.h"
@@ -25,7 +30,10 @@ class DeflateCodec final : public Codec {
 
   std::string_view name() const override { return "deflate"; }
   Bytes Compress(ByteSpan data) const override;
+  /// Reads the declared size, bounds it by what the stream can hold,
+  /// allocates, and decodes through DecompressInto.
   Bytes Decompress(ByteSpan data) const override;
+  void DecompressInto(ByteSpan data, MutableByteSpan out) const override;
 
  private:
   LzParams params_;
@@ -37,6 +45,7 @@ class DeflateFastCodec final : public Codec {
   std::string_view name() const override { return "deflate-fast"; }
   Bytes Compress(ByteSpan data) const override;
   Bytes Decompress(ByteSpan data) const override;
+  void DecompressInto(ByteSpan data, MutableByteSpan out) const override;
 };
 
 namespace internal {

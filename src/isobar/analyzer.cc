@@ -98,7 +98,7 @@ IsobarPlan DeserializePlan(ByteSpan data) {
   ByteReader reader(data);
   IsobarPlan plan;
   plan.width = reader.GetVarint();
-  if (plan.width > 64) {
+  if (plan.width > kMaxIsobarWidth) {
     throw CorruptStreamError("DeserializePlan: implausible element width");
   }
   const std::uint64_t count = reader.GetVarint();

@@ -31,6 +31,9 @@ struct ColumnAnalysis {
   bool compressible = false;
 };
 
+/// Widest element a serialized plan may describe.
+inline constexpr std::size_t kMaxIsobarWidth = 64;
+
 /// Partition plan for an N x width byte matrix.
 struct IsobarPlan {
   std::size_t width = 0;

@@ -48,42 +48,113 @@ IsobarCompressed IsobarCompress(ByteSpan rows, std::size_t width,
                         solver);
 }
 
-Bytes IsobarDecompress(ByteSpan stream, const Codec& solver) {
-  ByteReader reader(stream);
-  const std::uint64_t n = reader.GetVarint();
-  const IsobarPlan plan = DeserializePlan(reader.GetBlock());
-  const Bytes compressible = solver.Decompress(reader.GetBlock());
-  const ByteSpan raw = reader.GetBlock();
+namespace {
 
-  const auto comp_cols = plan.CompressibleColumns();
-  const auto raw_cols = plan.IncompressibleColumns();
-  // Overflow-safe consistency checks: division instead of multiplication,
-  // since n comes from an untrusted varint.
+/// An ISOBAR stream's parts, as IsobarCompress wrote them.
+struct IsobarRecord {
+  std::uint64_t n = 0;  // element count, off the wire
+  IsobarPlan plan;
+  std::size_t solved_columns = 0;
+  ByteSpan solved;  // solver stream of the compressible columns
+  ByteSpan raw;     // the incompressible columns, verbatim
+};
+
+IsobarRecord ReadRecord(ByteSpan stream) {
+  ByteReader reader(stream);
+  IsobarRecord record;
+  record.n = reader.GetVarint();
+  record.plan = DeserializePlan(reader.GetBlock());
+  record.solved_columns = record.plan.CompressibleColumns().size();
+  record.solved = reader.GetBlock();
+  record.raw = reader.GetBlock();
+  return record;
+}
+
+/// Checks the decoded column bytes against the element count. Overflow-safe:
+/// division instead of multiplication, since n comes from an untrusted
+/// varint.
+void CheckColumnSizes(const IsobarRecord& record, std::size_t solved_bytes) {
+  const std::uint64_t n = record.n;
   const auto column_count_matches = [n](std::size_t bytes,
                                         std::size_t columns) {
     if (columns == 0) return bytes == 0;
     return bytes % columns == 0 && bytes / columns == n;
   };
-  if (!column_count_matches(compressible.size(), comp_cols.size()) ||
-      !column_count_matches(raw.size(), raw_cols.size())) {
+  const std::size_t raw_columns =
+      record.plan.columns.size() - record.solved_columns;
+  if (!column_count_matches(solved_bytes, record.solved_columns) ||
+      !column_count_matches(record.raw.size(), raw_columns)) {
     throw CorruptStreamError("IsobarDecompress: column sizes inconsistent");
   }
-  if (plan.width != 0 && n > (compressible.size() + raw.size())) {
+  if (record.plan.width != 0 && n > (solved_bytes + record.raw.size())) {
     throw CorruptStreamError("IsobarDecompress: element count inconsistent");
   }
+}
 
-  Bytes rows(n * plan.width);
-  for (std::size_t c = 0; c < comp_cols.size(); ++c) {
-    for (std::size_t i = 0; i < n; ++i) {
-      rows[i * plan.width + comp_cols[c]] = compressible[c * n + i];
+/// The column view of a checked `record` whose solved columns are in
+/// `solved`. Columns past the plan's (a plan may cover fewer than its
+/// width) read as zero, from n zero bytes appended to `solved`.
+IsobarColumns ViewColumns(const IsobarRecord& record, Bytes& solved) {
+  IsobarColumns view;
+  view.n = static_cast<std::size_t>(record.n);
+  view.width = record.plan.width;
+  const std::size_t planned = record.plan.columns.size();
+  if (planned < view.width) solved.resize(solved.size() + view.n);
+  std::size_t next_solved = 0;
+  std::size_t next_raw = 0;
+  for (std::size_t c = 0; c < view.width; ++c) {
+    if (c >= planned) {
+      view.column[c] = solved.data() + view.n * record.solved_columns;
+    } else if (record.plan.columns[c].compressible) {
+      view.column[c] = solved.data() + view.n * next_solved++;
+    } else {
+      view.column[c] = record.raw.data() + view.n * next_raw++;
     }
   }
-  for (std::size_t c = 0; c < raw_cols.size(); ++c) {
-    for (std::size_t i = 0; i < n; ++i) {
-      rows[i * plan.width + raw_cols[c]] = raw[c * n + i];
+  return view;
+}
+
+}  // namespace
+
+Bytes IsobarDecompress(ByteSpan stream, const Codec& solver) {
+  const IsobarRecord record = ReadRecord(stream);
+  Bytes solved = solver.Decompress(record.solved);
+  CheckColumnSizes(record, solved.size());
+  const IsobarColumns view = ViewColumns(record, solved);
+  // Row by row, one read cursor per column: each output row is written
+  // once, instead of each column striding across every row.
+  Bytes rows(view.n * view.width);
+  if (view.width == 0) return rows;
+  std::byte* row = rows.data();
+  if (view.width == 6) {
+    const auto& c = view.column;
+    for (std::size_t i = 0; i < view.n; ++i, row += 6) {
+      row[0] = c[0][i];
+      row[1] = c[1][i];
+      row[2] = c[2][i];
+      row[3] = c[3][i];
+      row[4] = c[4][i];
+      row[5] = c[5][i];
     }
+    return rows;
+  }
+  for (std::size_t i = 0; i < view.n; ++i, row += view.width) {
+    for (std::size_t c = 0; c < view.width; ++c) row[c] = view.column[c][i];
   }
   return rows;
+}
+
+IsobarColumns IsobarDecodeColumns(ByteSpan stream, const Codec& solver,
+                                  std::size_t n, std::size_t width,
+                                  Bytes& scratch) {
+  const IsobarRecord record = ReadRecord(stream);
+  if (record.n != n || record.plan.width != width) {
+    throw CorruptStreamError("IsobarDecompress: element shape mismatch");
+  }
+  scratch.resize(n * record.solved_columns);
+  solver.DecompressInto(record.solved, scratch);
+  CheckColumnSizes(record, scratch.size());
+  return ViewColumns(record, scratch);
 }
 
 }  // namespace primacy

@@ -5,6 +5,7 @@
 // the six low-order mantissa bytes of each double.
 #pragma once
 
+#include <array>
 #include <memory>
 
 #include "compress/codec.h"
@@ -31,5 +32,23 @@ IsobarCompressed IsobarCompress(ByteSpan rows, std::size_t width,
 
 /// Inverse of IsobarCompress.
 Bytes IsobarDecompress(ByteSpan stream, const Codec& solver);
+
+/// A decoded ISOBAR stream, column by column: byte column c of the n x
+/// width matrix is the n bytes at column[c], in the stream itself (raw
+/// columns) or in the caller's scratch (solved ones).
+struct IsobarColumns {
+  std::size_t n = 0;
+  std::size_t width = 0;
+  std::array<const std::byte*, kMaxIsobarWidth> column{};
+};
+
+/// Decodes a stream of `n` elements of `width` bytes (any other shape is
+/// CorruptStreamError) without assembling rows, so a caller can merge the
+/// columns straight into its own layout. The solved columns decode into
+/// `scratch`, which a caller reuses across calls; the view is valid while
+/// `stream` and `scratch` are unchanged.
+IsobarColumns IsobarDecodeColumns(ByteSpan stream, const Codec& solver,
+                                  std::size_t n, std::size_t width,
+                                  Bytes& scratch);
 
 }  // namespace primacy

@@ -52,11 +52,16 @@ std::size_t MatchLength(const std::byte* a, const std::byte* b,
 
 /// The match finder's hash tables (head: kHashSize, prev: kLzWindowSize),
 /// kept per thread and reused across LzParse calls so a call allocates and
-/// page-faults nothing.
+/// page-faults nothing. Between calls every head slot is kNoPos.
 struct MatchTables {
-  std::vector<std::uint32_t> head = std::vector<std::uint32_t>(kHashSize);
+  std::vector<std::uint32_t> head =
+      std::vector<std::uint32_t>(kHashSize, kNoPos);
   std::vector<std::uint32_t> prev = std::vector<std::uint32_t>(kLzWindowSize);
 };
+
+/// Inputs shorter than this restore head by rehashing their own positions,
+/// which is cheaper than refilling all kHashSize slots.
+constexpr std::size_t kClearBySlotLimit = kHashSize / 8;
 
 MatchTables& ThreadTables() {
   thread_local MatchTables tables;
@@ -66,17 +71,31 @@ MatchTables& ThreadTables() {
 /// Hash-chain dictionary over the sliding window.
 class MatchFinder {
  public:
-  /// Takes this thread's tables and empties the dictionary by resetting only
-  /// head_. prev_ keeps whatever an earlier call left: every prev_ slot a
-  /// chain reads is prev_[cpos & (kLzWindowSize - 1)] for a candidate cpos
-  /// that was reached through head_ or prev_ and so was inserted in this
-  /// call, and inserting cpos wrote that slot. A stale slot is never read.
+  /// Takes this thread's tables, whose head_ the previous call left empty.
+  /// prev_ keeps whatever an earlier call left: every prev_ slot a chain
+  /// reads is prev_[cpos & (kLzWindowSize - 1)] for a candidate cpos that
+  /// was reached through head_ or prev_ and so was inserted in this call,
+  /// and inserting cpos wrote that slot. A stale slot is never read.
   explicit MatchFinder(ByteSpan data)
       : data_(data),
         head_(ThreadTables().head.data()),
-        prev_(ThreadTables().prev.data()) {
-    std::fill_n(head_, kHashSize, kNoPos);
+        prev_(ThreadTables().prev.data()) {}
+
+  /// Empties head_ for the next call: a short input resets only the slots
+  /// its positions hash to (every slot Insert can have written), a long one
+  /// refills the table.
+  ~MatchFinder() {
+    if (data_.size() >= kClearBySlotLimit) {
+      std::fill_n(head_, kHashSize, kNoPos);
+      return;
+    }
+    for (std::size_t pos = 0; pos + kLzMinMatch <= data_.size(); ++pos) {
+      head_[HashAt(data_.data() + pos)] = kNoPos;
+    }
   }
+
+  MatchFinder(const MatchFinder&) = delete;
+  MatchFinder& operator=(const MatchFinder&) = delete;
 
   /// Inserts position `pos` into the dictionary.
   void Insert(std::size_t pos) {
