@@ -1,24 +1,30 @@
 #include "bitstream/bit_io.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
+
 #include "util/error.h"
 
 namespace primacy {
 
-void BitWriter::WriteBits(std::uint64_t value, unsigned count) {
-  if (count > 57) throw InvalidArgumentError("BitWriter: count > 57");
-  value &= (1ULL << count) - 1;  // count <= 57, so the shift cannot overflow
-  accumulator_ |= value << pending_bits_;
-  pending_bits_ += count;
-  bit_count_ += count;
-  FlushFullBytes();
-}
-
 void BitWriter::FlushFullBytes() {
-  while (pending_bits_ >= 8) {
-    buffer_.push_back(static_cast<std::byte>(accumulator_ & 0xff));
-    accumulator_ >>= 8;
-    pending_bits_ -= 8;
+  const unsigned bytes = pending_bits_ / 8;
+  if (buffer_.size() < size_ + 8) {
+    buffer_.resize(std::max<std::size_t>(64, 2 * (size_ + 8)));
   }
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(buffer_.data() + size_, &accumulator_, 8);
+  } else {
+    for (unsigned i = 0; i < 8; ++i) {
+      buffer_[size_ + i] = static_cast<std::byte>(accumulator_ >> (8 * i));
+    }
+  }
+  size_ += bytes;
+  // A full accumulator (64 bits) leaves nothing; a shift by 64 would be
+  // undefined.
+  accumulator_ = bytes == 8 ? 0 : accumulator_ >> (8 * bytes);
+  pending_bits_ -= 8 * bytes;
 }
 
 void BitWriter::AlignToByte() {
@@ -27,15 +33,21 @@ void BitWriter::AlignToByte() {
 }
 
 void BitWriter::WriteBytes(ByteSpan data) {
-  if (pending_bits_ != 0) {
+  if (pending_bits_ % 8 != 0) {
     throw InvalidArgumentError("BitWriter::WriteBytes: not byte-aligned");
   }
+  FlushFullBytes();
+  buffer_.resize(size_);
   AppendBytes(buffer_, data);
+  size_ = buffer_.size();
   bit_count_ += 8 * static_cast<std::uint64_t>(data.size());
 }
 
 Bytes BitWriter::Finish() {
   AlignToByte();
+  FlushFullBytes();
+  buffer_.resize(size_);
+  size_ = 0;
   return std::move(buffer_);
 }
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "util/bytes.h"
+#include "util/error.h"
 
 namespace primacy {
 
@@ -18,7 +19,16 @@ class BitWriter {
   BitWriter() = default;
 
   /// Appends the low `count` (<= 57) bits of `value`, LSB first.
-  void WriteBits(std::uint64_t value, unsigned count);
+  void WriteBits(std::uint64_t value, unsigned count) {
+    if (count > 57) throw InvalidArgumentError("BitWriter: count > 57");
+    if (pending_bits_ + count >= 64) FlushFullBytes();
+    // Here count <= 57 and pending_bits_ < 64 (at most 7 after a flush), so
+    // both shifts stay below 64.
+    accumulator_ |= (value & ((std::uint64_t{1} << count) - 1))
+                    << pending_bits_;
+    pending_bits_ += count;
+    bit_count_ += count;
+  }
 
   /// Pads with zero bits to the next byte boundary.
   void AlignToByte();
@@ -33,11 +43,14 @@ class BitWriter {
   Bytes Finish();
 
  private:
+  /// Moves the whole bytes of the accumulator to the buffer with one
+  /// 8-byte store, leaving fewer than 8 pending bits.
   void FlushFullBytes();
 
-  Bytes buffer_;
+  Bytes buffer_;    // bytes written: [0, size_); the rest is store room
+  std::size_t size_ = 0;
   std::uint64_t accumulator_ = 0;  // pending bits, LSB-first
-  unsigned pending_bits_ = 0;
+  unsigned pending_bits_ = 0;      // at most 64
   std::uint64_t bit_count_ = 0;
 };
 

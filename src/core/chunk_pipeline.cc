@@ -334,7 +334,7 @@ void ChunkDecoder::DecodeChunkInto(ByteReader& reader, std::uint64_t count,
   solver_.DecompressInto(reader.GetBlock(), ids_);
   clock.Lap(laps, telemetry::Stage::kSolver);
   profile.Switch(telemetry::Stage::kIdMap);
-  const Bytes high = MapFromIds(ids_, *index_, linearization_);
+  MapFromIdsInto(ids_, *index_, linearization_, high_);
   clock.Lap(laps, telemetry::Stage::kIdMap);
   profile.Switch(telemetry::Stage::kIsobar);
   const IsobarColumns low = IsobarDecodeColumns(
@@ -344,7 +344,7 @@ void ChunkDecoder::DecodeChunkInto(ByteReader& reader, std::uint64_t count,
   // Fused merge: each native element is assembled once from its two high
   // bytes and one byte of each mantissa column (big-endian order), with no
   // row matrix in between.
-  const std::byte* hi = high.data();
+  const std::byte* hi = high_.data();
   std::byte* dst = out.data();
   const auto byte = [](const std::byte* column, std::size_t i,
                        unsigned shift) {

@@ -113,9 +113,10 @@ class ChunkDecoder {
   std::size_t width_;
   std::optional<IdIndex> index_;
   telemetry::StageBreakdown stage_;
-  // Per-chunk decode scratch, reused across chunks: the ID plane and the
-  // solved mantissa columns.
+  // Per-chunk decode scratch, reused across chunks: the ID plane, its
+  // unmapped high bytes and the solved mantissa columns.
   Bytes ids_;
+  Bytes high_;
   Bytes columns_;
 };
 

@@ -1,5 +1,7 @@
 #include "core/id_mapper.h"
 
+#include <cstring>
+
 #include "kernels/kernels.h"
 #include "util/byte_matrix.h"
 #include "util/error.h"
@@ -26,21 +28,31 @@ Bytes MapToIds(ByteSpan high_bytes, const IdIndex& index,
   return ids;
 }
 
-Bytes MapFromIds(ByteSpan id_bytes, const IdIndex& index,
-                 Linearization linearization) {
+void MapFromIdsInto(ByteSpan id_bytes, const IdIndex& index,
+                    Linearization linearization, Bytes& rows) {
   if (id_bytes.size() % 2 != 0) {
     throw CorruptStreamError("MapFromIds: odd byte count");
   }
-  Bytes rows = linearization == Linearization::kColumn
-                   ? ColumnToRow(id_bytes, 2)
-                   : ToBytes(id_bytes);
+  const std::size_t n = id_bytes.size() / 2;
+  rows.resize(id_bytes.size());
+  if (linearization == Linearization::kColumn) {
+    kernels::Active().col_to_row_w2(id_bytes.data(), n, rows.data());
+  } else if (n != 0) {
+    std::memcpy(rows.data(), id_bytes.data(), id_bytes.size());
+  }
   // In place: the kernel contract allows out == in (each block is fully
   // loaded before it is stored).
   if (!kernels::Active().unmap_ids16(
-          rows.data(), rows.size() / 2, index.sequences_u32().data(),
+          rows.data(), n, index.sequences_u32().data(),
           static_cast<std::uint32_t>(index.size()), rows.data())) {
     throw CorruptStreamError("MapFromIds: ID beyond index");
   }
+}
+
+Bytes MapFromIds(ByteSpan id_bytes, const IdIndex& index,
+                 Linearization linearization) {
+  Bytes rows;
+  MapFromIdsInto(id_bytes, index, linearization, rows);
   return rows;
 }
 

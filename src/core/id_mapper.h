@@ -25,4 +25,9 @@ Bytes MapToIds(ByteSpan high_bytes, const IdIndex& index,
 Bytes MapFromIds(ByteSpan id_bytes, const IdIndex& index,
                  Linearization linearization);
 
+/// MapFromIds into `rows` (resized to id_bytes.size()), so a decoder can
+/// reuse one buffer across chunks.
+void MapFromIdsInto(ByteSpan id_bytes, const IdIndex& index,
+                    Linearization linearization, Bytes& rows);
+
 }  // namespace primacy
